@@ -1,18 +1,13 @@
 """Channel-router quality comparison (level A substrate).
 
 Not a table in the paper, but the substrate the paper's baselines
-stand on: compares the three detailed channel routers (greedy,
-dogleg left-edge, Yoshimura-Kuh net merging) against the density
-lower bound across a batch of random channels, plus the three suites'
-actual channels from the two-layer flow.
+stand on: compares the two detailed channel routers (greedy and
+dogleg left-edge) against the density lower bound across a batch of
+random channels, plus the three suites' actual channels from the
+two-layer flow.
 """
 
-from repro.channels import (
-    ChannelRoutingError,
-    GreedyChannelRouter,
-    LeftEdgeRouter,
-    YKChannelRouter,
-)
+from repro.channels import ChannelRoutingError, GreedyChannelRouter, LeftEdgeRouter
 from repro.reporting import format_table
 
 import random
@@ -41,7 +36,6 @@ def random_problem(seed, length=40, nets=12):
 ROUTERS = {
     "greedy": GreedyChannelRouter(),
     "left-edge": LeftEdgeRouter(),
-    "yoshimura-kuh": YKChannelRouter(),
 }
 
 

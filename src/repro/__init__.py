@@ -26,8 +26,6 @@ depends on:
     Steiner-Prim multi-terminal heuristic.
 ``repro.maze``
     Lee-style maze router baseline.
-``repro.steiner``
-    Rectilinear spanning/Steiner tree algorithms on point sets.
 ``repro.partition``
     Net partitioning strategies (set A vs. set B).
 ``repro.flow``

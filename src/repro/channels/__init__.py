@@ -21,7 +21,6 @@ from repro.channels.vcg import VerticalConstraintGraph
 from repro.channels.route import ChannelRoute, HorizontalSpan, VerticalJog
 from repro.channels.greedy import GreedyChannelRouter
 from repro.channels.left_edge import LeftEdgeRouter
-from repro.channels.yoshimura_kuh import YKChannelRouter
 from repro.channels.multilayer import HVHChannelRouter, HVHResult
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "VerticalJog",
     "GreedyChannelRouter",
     "LeftEdgeRouter",
-    "YKChannelRouter",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Generic, Protocol, TypeVar
 
 
 class Severity(enum.Enum):
@@ -73,27 +73,39 @@ class Violation:
         return f"{self.severity.value.upper()} {self.rule}{where}{who}: {self.message}"
 
 
-@dataclass
-class CheckReport:
-    """Aggregate outcome of one verification run."""
+class Finding(Protocol):
+    """What a report needs of one record: its rule id and severity."""
 
-    subject: str = ""
-    violations: list[Violation] = field(default_factory=list)
+    @property
+    def rule(self) -> str: ...
+
+    @property
+    def severity(self) -> Severity: ...
+
+
+F = TypeVar("F", bound=Finding)
+
+
+@dataclass
+class Report(Generic[F]):
+    """Rule-keyed aggregate of findings, shared by check and lint."""
+
+    violations: list[F] = field(default_factory=list)
     rules_run: tuple[str, ...] = ()
 
-    def extend(self, violations: list[Violation]) -> None:
+    def extend(self, violations: list[F]) -> None:
         self.violations.extend(violations)
 
     @property
     def ok(self) -> bool:
-        """True when no ERROR-severity violation was found."""
-        return not any(v.severity is Severity.ERROR for v in self.violations)
+        """True when no ERROR-severity finding is present."""
+        return self.error_count == 0
 
     @property
     def error_count(self) -> int:
         return sum(1 for v in self.violations if v.severity is Severity.ERROR)
 
-    def by_rule(self, rule: str) -> list[Violation]:
+    def by_rule(self, rule: str) -> list[F]:
         return [v for v in self.violations if v.rule == rule]
 
     def counts(self) -> dict[str, int]:
@@ -103,11 +115,8 @@ class CheckReport:
             out[v.rule] = out.get(v.rule, 0) + 1
         return out
 
-    def summary(self) -> str:
-        """One-line human-readable verdict."""
-        label = f"{self.subject}: " if self.subject else ""
-        if not self.violations:
-            return f"{label}CLEAN ({len(self.rules_run)} rules checked)"
+    def _violation_summary(self, label: str) -> str:
+        """``label`` + error and per-rule counts, for a non-clean run."""
         parts = ", ".join(
             f"{rule}={n}" for rule, n in sorted(self.counts().items())
         )
@@ -116,13 +125,30 @@ class CheckReport:
             f"{len(self.violations)} violation(s): {parts}"
         )
 
+    def summary(self) -> str:
+        raise NotImplementedError
+
     def render(self, limit: int = 50) -> str:
-        """Multi-line report: summary plus the first ``limit`` violations."""
+        """Multi-line report: summary plus the first ``limit`` findings."""
         lines = [self.summary()]
         lines.extend(f"  {v}" for v in self.violations[:limit])
         if len(self.violations) > limit:
             lines.append(f"  ... and {len(self.violations) - limit} more")
         return "\n".join(lines)
+
+
+@dataclass
+class CheckReport(Report[Violation]):
+    """Aggregate outcome of one verification run."""
+
+    subject: str = ""
+
+    def summary(self) -> str:
+        """One-line human-readable verdict."""
+        label = f"{self.subject}: " if self.subject else ""
+        if not self.violations:
+            return f"{label}CLEAN ({len(self.rules_run)} rules checked)"
+        return self._violation_summary(label)
 
     def to_dict(self) -> dict[str, Any]:
         return {

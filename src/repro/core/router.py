@@ -952,22 +952,23 @@ class LevelBRouter:
         self, source: GridTerminal, target: GridTerminal
     ) -> Iterator[Region]:
         """Index-space search regions, smallest first, whole grid last."""
-        cfg = self.config
-        v_box = Interval.spanning(source.v_idx, target.v_idx)
-        h_box = Interval.spanning(source.h_idx, target.h_idx)
-        margin = cfg.region_margin_tracks
-        for _ in range(cfg.max_region_expansions + 1):
-            yield (v_box.expanded(margin), h_box.expanded(margin))
-            margin *= cfg.region_growth
+        yield from bounded_regions(self.config, source, target)
         yield None  # unbounded: the entire layout
 
 
-def commit_points(
-    grid,
-    net_id: int,
-    points: Sequence,
-    corners: Iterable[tuple[int, int]],
-) -> None:
-    """Backwards-compatible alias for :meth:`RoutingGrid.commit_path`."""
-    # repro: allow[txn.commit] pass-through shim: transaction scope is the caller's responsibility, exactly as for commit_path itself
-    grid.commit_path(net_id, points, corners)
+def bounded_regions(
+    config: LevelBConfig, source: GridTerminal, target: GridTerminal
+) -> Iterator[tuple[Interval, Interval]]:
+    """The escalation schedule's bounded regions, smallest first.
+
+    ``region_margin_tracks`` around the terminals' bounding box, grown
+    by ``region_growth`` per expansion.  Speculative workers search
+    these alone: their "whole grid" would be a window, not the layout.
+    """
+    v_box = Interval.spanning(source.v_idx, target.v_idx)
+    h_box = Interval.spanning(source.h_idx, target.h_idx)
+    margin = config.region_margin_tracks
+    for _ in range(config.max_region_expansions + 1):
+        yield (v_box.expanded(margin), h_box.expanded(margin))
+        margin *= config.region_growth
+

@@ -36,7 +36,12 @@ from collections.abc import Iterator
 
 from repro.core.engine import EngineContext, Region, RoutedConnection, get_engine
 from repro.core.cost import CornerCostEvaluator, TrackHistory
-from repro.core.router import LevelBConfig, coupling_terms, route_net_terminals
+from repro.core.router import (
+    LevelBConfig,
+    bounded_regions,
+    coupling_terms,
+    route_net_terminals,
+)
 from repro.core.tig import GridTerminal
 from repro.geometry import Interval, Point
 from repro.grid.occupancy import WindowSnapshot
@@ -122,23 +127,6 @@ def speculative_config(config: LevelBConfig, speculate_expansions: int) -> Level
     )
 
 
-def _bounded_regions(
-    config: LevelBConfig, source: GridTerminal, target: GridTerminal
-) -> Iterator[Region]:
-    """The serial router's escalation schedule, bounded regions only.
-
-    Mirrors :meth:`repro.core.router.LevelBRouter._regions` minus the
-    final whole-grid ``None`` — a worker's "whole grid" would be the
-    window, which is *not* what serial routing would search.
-    """
-    v_box = Interval.spanning(source.v_idx, target.v_idx)
-    h_box = Interval.spanning(source.h_idx, target.h_idx)
-    margin = config.region_margin_tracks
-    for _ in range(config.max_region_expansions + 1):
-        yield (v_box.expanded(margin), h_box.expanded(margin))
-        margin *= config.region_growth
-
-
 def _region_truncated(window: WindowSnapshot, v_iv: Interval, h_iv: Interval, pad: int) -> bool:
     """Would clipping ``region + pad`` at the window differ from serial?
 
@@ -190,7 +178,7 @@ def route_net_task(task: NetTask) -> SpecResult:
 
     def regions(source: GridTerminal, target: GridTerminal) -> Iterator[Region]:
         nonlocal tainted
-        for v_iv, h_iv in _bounded_regions(cfg, source, target):
+        for v_iv, h_iv in bounded_regions(cfg, source, target):
             if _region_truncated(task.window, v_iv, h_iv, pad):
                 tainted = True
                 return  # larger regions only truncate more

@@ -37,6 +37,7 @@ from repro.channels import (
 from repro.core import LevelBRouter
 from repro.flow.metrics import FlowResult
 from repro.flow.params import FlowParams
+from repro.geometry import Rect
 from repro.globalroute import GlobalRoute, GlobalRouter
 from repro.netlist import Design, Net
 from repro.partition import PartitionStrategy, partition_nets
@@ -272,8 +273,28 @@ def overcell_flow(design: Design, params: FlowParams | None = None) -> FlowResul
     return _attach_profile(result)
 
 
-def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
-    params = params or FlowParams()
+@dataclass
+class _LevelBSetup:
+    """The realised level A layout and the level B router built on it."""
+
+    set_a: list[Net]
+    set_b: list[Net]
+    placement: RowPlacement
+    global_route: GlobalRoute
+    routes: list[ChannelRoute]
+    heights: list[int]
+    side_widths: tuple[int, int]
+    bounds: Rect
+    router: LevelBRouter
+
+
+def _levelb_setup(design: Design, params: FlowParams, checked: bool) -> _LevelBSetup:
+    """Partition, route set A in the channels, realise, build level B.
+
+    ``params`` overrides for backend, objective and planes land in the
+    router config; ``checked`` turns on the router's checked mode (the
+    routability probe never does).
+    """
     nets = design.routable_nets()
     if params.partition is PartitionStrategy.LONG_TO_B:
         # Geometric partitioning needs provisional pin positions.
@@ -292,45 +313,57 @@ def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
         right_width=side_widths[1],
         margin=params.margin,
     )
-    wire_a, vias_a = _level_a_wire_and_vias(
-        global_route, routes, placement, heights, side_widths, params.channel_pitch
-    )
-    levelb_config = params.levelb
-    if params.checked and not levelb_config.checked:
-        levelb_config = replace(levelb_config, checked=True)
-    if params.backend != levelb_config.backend:
-        levelb_config = replace(levelb_config, backend=params.backend)
-    if params.objective != levelb_config.objective:
-        levelb_config = replace(levelb_config, objective=params.objective)
+    config = params.levelb
+    if checked and not config.checked:
+        config = replace(config, checked=True)
+    if params.backend != config.backend:
+        config = replace(config, backend=params.backend)
+    if params.objective != config.objective:
+        config = replace(config, objective=params.objective)
     # FlowParams.planes > 1 overrides the router config; a technology
     # too short for the requested plane count is extended with
     # extrapolated reserved pairs (docs/LAYERS.md).
-    planes = params.planes if params.planes > 1 else levelb_config.planes
-    if planes != levelb_config.planes:
-        levelb_config = replace(levelb_config, planes=planes)
+    planes = params.planes if params.planes > 1 else config.planes
+    if planes != config.planes:
+        config = replace(config, planes=planes)
     technology = params.technology
     if planes > 1:
         technology = ensure_overcell_planes(technology, planes)
-    levelb_router = LevelBRouter(
+    router = LevelBRouter(
         bounds,
         set_b,
         technology=technology,
         obstacles=params.obstacles,
-        config=levelb_config,
+        config=config,
     )
-    levelb, iterate_report = _route_levelb(levelb_router, params)
+    return _LevelBSetup(
+        set_a, set_b, placement, global_route, routes, heights, side_widths,
+        bounds, router,
+    )
+
+
+def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
+    params = params or FlowParams()
+    setup = _levelb_setup(design, params, checked=params.checked)
+    set_a, set_b, routes = setup.set_a, setup.set_b, setup.routes
+    wire_a, vias_a = _level_a_wire_and_vias(
+        setup.global_route, routes, setup.placement, setup.heights,
+        setup.side_widths, params.channel_pitch,
+    )
+    planes = setup.router.config.planes
+    levelb, iterate_report = _route_levelb(setup.router, params)
     result = FlowResult(
         flow="overcell-4layer" if planes == 1 else f"overcell-{2 + 2 * planes}layer",
         design=design.name,
-        bounds=bounds,
+        bounds=setup.bounds,
         wire_length=wire_a + levelb.total_wire_length,
         via_count=vias_a + levelb.total_vias,
         channel_tracks=[r.tracks for r in routes],
-        channel_heights=heights,
-        side_widths=side_widths,
+        channel_heights=setup.heights,
+        side_widths=setup.side_widths,
         completion=levelb.completion_rate,
-        placement=placement,
-        global_route=global_route,
+        placement=setup.placement,
+        global_route=setup.global_route,
         channel_routes=routes,
         levelb=levelb,
     )
@@ -348,7 +381,7 @@ def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
         level_b_pins=pins_b,
         level_a_wire=wire_a,
         level_b_wire=levelb.total_wire_length,
-        objective=levelb_config.objective,
+        objective=setup.router.config.objective,
         # Per-net via breakdown (corner vias + terminal stacks), the
         # quantity objective="vias" minimizes; summed in
         # ``level_b_vias`` for quick comparison across objectives.
@@ -409,55 +442,16 @@ def routability_probe(
     """
     params = params or FlowParams()
     with instrument.span(SPAN_FLOW_PROBE):
-        nets = design.routable_nets()
-        if params.partition is PartitionStrategy.LONG_TO_B:
-            pitch = params.channel_pitch
-            provisional = RowPlacement.build(
-                design, pitch=pitch, aspect=params.aspect
-            )
-            provisional.realize(
-                [pitch] * provisional.channel_count, margin=params.margin
-            )
-        set_a, set_b = partition_nets(
-            nets, params.partition, length_threshold=params.length_threshold
-        )
-        placement, global_route, routes, heights, side_widths = (
-            _run_channel_pipeline(design, set_a, params)
-        )
-        bounds = placement.realize(
-            heights,
-            left_width=side_widths[0],
-            right_width=side_widths[1],
-            margin=params.margin,
-        )
-        probe_config = params.levelb
-        if params.backend != probe_config.backend:
-            probe_config = replace(probe_config, backend=params.backend)
-        if params.objective != probe_config.objective:
-            probe_config = replace(probe_config, objective=params.objective)
-        probe_planes = (
-            params.planes if params.planes > 1 else probe_config.planes
-        )
-        if probe_planes != probe_config.planes:
-            probe_config = replace(probe_config, planes=probe_planes)
-        probe_tech = params.technology
-        if probe_planes > 1:
-            probe_tech = ensure_overcell_planes(probe_tech, probe_planes)
-        router = LevelBRouter(
-            bounds,
-            set_b,
-            technology=probe_tech,
-            obstacles=params.obstacles,
-            config=probe_config,
-        )
+        setup = _levelb_setup(design, params, checked=False)
+        router = setup.router
         before = router.tig.planes.snapshot()
         levelb = router.probe()
         restored = router.tig.planes.matches(before)
         region_model = _probe_regions(router)
     return RoutabilityProbe(
         design=design.name,
-        level_a_nets=len(set_a),
-        level_b_nets=len(set_b),
+        level_a_nets=len(setup.set_a),
+        level_b_nets=len(setup.set_b),
         completion=levelb.completion_rate,
         failed_nets=[r.net.name for r in levelb.routed if not r.complete],
         level_b_wire=levelb.total_wire_length,

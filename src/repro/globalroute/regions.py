@@ -172,12 +172,6 @@ class RegionModel:
         """The region a net was assigned to (``default`` if unknown)."""
         return self._assignment.get(net_id, default)
 
-    def assigned_nets(self, rid: int) -> list[int]:
-        """Net ids assigned to a region, ascending."""
-        return sorted(
-            n for n, r in self._assignment.items() if r == rid
-        )
-
     def capacity(self, rid: int) -> int:
         """Tracks threading a tile: its horizontal plus vertical tracks."""
         v_lo, v_hi, h_lo, h_hi = self.bounds_of(rid)

@@ -305,9 +305,10 @@ class RoutingGrid:
         the net's claims accordingly; the expansion clamps at grid
         edges, where the routing region itself bounds the wiring.
 
-        ``(1, 0)`` is the historical single-track behaviour and is not
-        stored, so grids carrying only signal nets run the exact
-        pre-footprint code paths.
+        ``(1, 0)`` is the single-track signal footprint and is not
+        stored: the occupy primitives expand it to the base track
+        alone, and the per-node queries the searches call take their
+        signal fast path for every net absent from this table.
         """
         if span < 1 or guard < 0:
             raise ValueError("footprint needs span >= 1 and guard >= 0")
@@ -621,25 +622,24 @@ class RoutingGrid:
                 raise ValueError(
                     f"terminal at ({v_idx},{h_idx}) collides with owner {current}"
                 )
-        fp = self._footprints.get(net_id)
+        # A wide terminal's anchor covers the footprint block —
+        # best-effort: terminal pins sit at fixed physical positions the
+        # width model cannot move, so cells already held by another
+        # net's stack are simply skipped.  Wire claims reaching the
+        # terminal still pre-check the full footprint, so the router
+        # routes around (or fails) such pinched terminals instead of
+        # shorting.  A signal net's block is the anchor alone.
+        fp = self.footprint_of(net_id)
         extra: list[tuple[int, int]] = []
-        if fp is not None:
-            # A wide terminal's anchor covers the footprint block —
-            # best-effort: terminal pins sit at fixed physical
-            # positions the width model cannot move, so cells already
-            # held by another net's stack are simply skipped.  Wire
-            # claims reaching the terminal still pre-check the full
-            # footprint, so the router routes around (or fails) such
-            # pinched terminals instead of shorting.
-            for v in self._expand_rows(v_idx, fp, self.num_vtracks):
-                for h in self._expand_rows(h_idx, fp, self.num_htracks):
-                    if (v, h) == (v_idx, h_idx):
-                        continue
-                    if self._h_owner[h, v] not in (FREE, net_id) or (
-                        self._v_owner[v, h] not in (FREE, net_id)
-                    ):
-                        continue
-                    extra.append((v, h))
+        for v in self._expand_rows(v_idx, fp, self.num_vtracks):
+            for h in self._expand_rows(h_idx, fp, self.num_htracks):
+                if (v, h) == (v_idx, h_idx):
+                    continue
+                if self._h_owner[h, v] not in (FREE, net_id) or (
+                    self._v_owner[v, h] not in (FREE, net_id)
+                ):
+                    continue
+                extra.append((v, h))
         if self._txns:
             self._journal.append(
                 ("c", net_id, v_idx, h_idx, prior_h, prior_v, True)
@@ -851,11 +851,9 @@ class RoutingGrid:
         """
         if v_lo > v_hi:
             v_lo, v_hi = v_hi, v_lo
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            rows: Sequence[int] = (h_idx,)
-        else:
-            rows = self._expand_rows(h_idx, fp, self.num_htracks)
+        self._check_indices(v_lo, h_idx)
+        self._check_indices(v_hi, h_idx)
+        rows = self._expand_rows(h_idx, self.footprint_of(net_id), self.num_htracks)
         priors = []
         for r in rows:
             row = np.asarray(self._h_owner[r, v_lo : v_hi + 1])
@@ -875,11 +873,9 @@ class RoutingGrid:
         """Claim the vertical slots of a span for ``net_id``."""
         if h_lo > h_hi:
             h_lo, h_hi = h_hi, h_lo
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            rows: Sequence[int] = (v_idx,)
-        else:
-            rows = self._expand_rows(v_idx, fp, self.num_vtracks)
+        self._check_indices(v_idx, h_lo)
+        self._check_indices(v_idx, h_hi)
+        rows = self._expand_rows(v_idx, self.footprint_of(net_id), self.num_vtracks)
         priors = []
         for r in rows:
             row = np.asarray(self._v_owner[r, h_lo : h_hi + 1])
@@ -904,15 +900,12 @@ class RoutingGrid:
         """
         if not self.corner_free(v_idx, h_idx, net_id):
             raise ValueError(f"corner ({v_idx},{h_idx}) not free for net {net_id}")
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            cells = ((v_idx, h_idx),)
-        else:
-            cells = tuple(
-                (v, h)
-                for v in self._expand_rows(v_idx, fp, self.num_vtracks)
-                for h in self._expand_rows(h_idx, fp, self.num_htracks)
-            )
+        fp = self.footprint_of(net_id)
+        cells = [
+            (v, h)
+            for v in self._expand_rows(v_idx, fp, self.num_vtracks)
+            for h in self._expand_rows(h_idx, fp, self.num_htracks)
+        ]
         for v, h in cells:
             if self._txns:
                 self._journal.append(

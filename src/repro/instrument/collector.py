@@ -154,10 +154,6 @@ class Collector:
     def span(self, name: str) -> Span:
         return Span(name, self)
 
-    def current_span(self) -> SpanNode:
-        """The innermost open span node (the root when none is open)."""
-        return self._stack[-1]
-
     def _push(self, name: str) -> SpanNode:
         node = self._stack[-1].child(name)
         self._stack.append(node)

@@ -1,10 +1,10 @@
 """Structured lint findings and reports.
 
 A :class:`LintViolation` is one contract breach at one source location;
-a :class:`LintReport` aggregates a whole analysis run.  The shapes
-mirror :mod:`repro.check.violations` (the runtime verification engine)
-so the two subsystems serialise and render the same way: plain data,
-rule-id keyed, ``--json``-friendly.
+a :class:`LintReport` aggregates a whole analysis run.  Both share
+:class:`repro.check.violations.Report` with the runtime verification
+engine, so the two subsystems aggregate and render the same way: plain
+data, rule-id keyed, ``--json``-friendly.
 
 Lint reuses the checker's :class:`~repro.check.violations.Severity`
 scale.  ``ERROR`` marks a broken project contract (the build should
@@ -14,10 +14,10 @@ fail); ``WARNING`` marks heuristic findings that need a human read
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.check.violations import Severity
+from repro.check.violations import Report, Severity
 
 __all__ = ["LintReport", "LintViolation", "Severity"]
 
@@ -75,42 +75,14 @@ class LintViolation:
 
 
 @dataclass
-class LintReport:
+class LintReport(Report[LintViolation]):
     """Aggregate outcome of one static-analysis run."""
 
-    violations: list[LintViolation] = field(default_factory=list)
-    rules_run: tuple[str, ...] = ()
     files_scanned: int = 0
     #: Findings silenced by an in-source suppression pragma.
     suppressed: int = 0
     #: Findings silenced by the committed baseline file.
     baselined: int = 0
-
-    def extend(self, violations: list[LintViolation]) -> None:
-        self.violations.extend(violations)
-
-    @property
-    def ok(self) -> bool:
-        """True when no ERROR-severity violation survived filtering."""
-        return not any(
-            v.severity is Severity.ERROR for v in self.violations
-        )
-
-    @property
-    def error_count(self) -> int:
-        return sum(
-            1 for v in self.violations if v.severity is Severity.ERROR
-        )
-
-    def by_rule(self, rule: str) -> list[LintViolation]:
-        return [v for v in self.violations if v.rule == rule]
-
-    def counts(self) -> dict[str, int]:
-        """Violation count per rule id (only rules that fired)."""
-        out: dict[str, int] = {}
-        for v in self.violations:
-            out[v.rule] = out.get(v.rule, 0) + 1
-        return out
 
     def summary(self) -> str:
         """One-line human-readable verdict."""
@@ -125,21 +97,7 @@ class LintReport:
                 f"lint: CLEAN — {self.files_scanned} file(s), "
                 f"{len(self.rules_run)} rule(s){filtered}"
             )
-        parts = ", ".join(
-            f"{rule}={n}" for rule, n in sorted(self.counts().items())
-        )
-        return (
-            f"lint: {self.error_count} error(s), "
-            f"{len(self.violations)} violation(s): {parts}{filtered}"
-        )
-
-    def render(self, limit: int = 50) -> str:
-        """Multi-line report: summary plus the first ``limit`` findings."""
-        lines = [self.summary()]
-        lines.extend(f"  {v}" for v in self.violations[:limit])
-        if len(self.violations) > limit:
-            lines.append(f"  ... and {len(self.violations) - limit} more")
-        return "\n".join(lines)
+        return self._violation_summary("lint: ") + filtered
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -26,6 +27,12 @@ class Edge(enum.Enum):
         return self in (Edge.TOP, Edge.BOTTOM)
 
 
+def _require_int(value: object, what: str) -> None:
+    """Reject non-integer geometry: tracks sit on integer coordinates."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass
 class Cell:
     """A rectangular macro cell.
@@ -42,6 +49,8 @@ class Cell:
     pins: list["Pin"] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        _require_int(self.width, f"cell {self.name} width")
+        _require_int(self.height, f"cell {self.name} height")
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"cell {self.name}: non-positive dimensions")
 
@@ -72,6 +81,7 @@ class Cell:
 
     def add_pin(self, pin: "Pin") -> None:
         """Attach ``pin`` (validates the offset fits the edge)."""
+        _require_int(pin.offset, f"pin {pin.name} offset on cell {self.name}")
         limit = self.width if pin.edge.is_horizontal else self.height
         if not 0 <= pin.offset <= limit:
             raise ValueError(

@@ -29,6 +29,7 @@ therefore one serve cache digest.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.technology.layers import Layer, RoutingDirection, WidthSpacingTuple
@@ -44,16 +45,29 @@ __all__ = [
 STACKUP_FORMAT = "repro-stackup"
 
 
-def _quantize(value: Any, grid_unit: float, what: str) -> int:
-    """``value`` in physical units onto the integer lambda grid."""
+def _finite(value: Any, what: str) -> float:
+    """``value`` as a finite float; bools, inf, nan and huge ints fail."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"stackup {what} must be a number, got {value!r}")
-    lam = round(float(value) / grid_unit)
-    if abs(lam * grid_unit - float(value)) > 1e-6 * max(1.0, abs(value)):
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"stackup {what} must be finite, got {value!r}")
+    return out
+
+
+def _quantize(value: Any, grid_unit: float, what: str) -> int:
+    """``value`` in physical units onto the integer lambda grid."""
+    physical = _finite(value, what)
+    scaled = _finite(physical / grid_unit, f"{what} in grid units")
+    lam = round(scaled)
+    if abs(lam * grid_unit - physical) > 1e-6 * max(1.0, abs(physical)):
         raise ValueError(
             f"stackup {what} {value} is not a multiple of grid_unit {grid_unit}"
         )
-    return int(lam)
+    return lam
 
 
 def _spacing_table(
@@ -96,10 +110,9 @@ def technology_from_stackup(data: dict[str, Any]) -> Technology:
         raise ValueError("stackup document must be a JSON object")
     if "metals" not in data:
         raise ValueError("stackup document requires a 'metals' list")
-    grid_unit = data.get("grid_unit", 1.0)
-    if not isinstance(grid_unit, (int, float)) or grid_unit <= 0:
+    grid_unit = _finite(data.get("grid_unit", 1.0), "grid_unit")
+    if grid_unit <= 0:
         raise ValueError(f"grid_unit must be a positive number, got {grid_unit!r}")
-    grid_unit = float(grid_unit)
     metals = data["metals"]
     if not isinstance(metals, list) or not metals:
         raise ValueError("'metals' must be a non-empty list")
@@ -162,7 +175,7 @@ def _ingest_vias(
                 lower=vd["lower"],
                 upper=vd["upper"],
                 size=_quantize(vd["size"], grid_unit, "via size"),
-                cost=float(vd.get("cost", 1.0)),
+                cost=_finite(vd.get("cost", 1.0), "via cost"),
             )
             declared[rule.lower] = rule
     vias = []

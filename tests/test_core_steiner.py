@@ -1,5 +1,7 @@
 """Tests for the Steiner-Prim multi-terminal builder (core grid form)."""
 
+import random
+
 import pytest
 
 from repro.geometry import Point
@@ -118,3 +120,40 @@ class TestSteinerPoints:
         cands = builder.attach_candidates(src)
         dists = [src.position(tig.grid).manhattan_to(c.position(tig.grid)) for c in cands]
         assert dists == sorted(dists)
+
+
+def rectilinear_mst_length(points):
+    dist = {p: p.manhattan_to(points[0]) for p in points[1:]}
+    total = 0
+    while dist:
+        nearest = min(dist, key=lambda p: (dist[p], p))
+        total += dist.pop(nearest)
+        for p in dist:
+            dist[p] = min(dist[p], p.manhattan_to(nearest))
+    return total
+
+
+class TestMSTBound:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_never_longer_than_mst(self, seed):
+        """Committing horizontal-first L-shapes to the nearest attach
+        candidate never yields a tree longer than the terminal MST: a
+        connected terminal is always among the candidates."""
+        rng = random.Random(seed)
+        tig = make_tig(n=41)
+        for _ in range(40):
+            pts = list(dict.fromkeys(
+                Point(rng.randrange(0, 410, 10), rng.randrange(0, 410, 10))
+                for _ in range(rng.randint(2, 8))
+            ))
+            if len(pts) < 2:
+                continue
+            builder = SteinerTreeBuilder(tig.grid, 1, tig.register_net(1, pts))
+            length = 0
+            while not builder.done:
+                source = builder.next_source()
+                attach = builder.attach_candidates(source)[0].position(tig.grid)
+                end = source.position(tig.grid)
+                builder.commit(source, [attach, Point(end.x, attach.y), end])
+                length += attach.manhattan_to(end)
+            assert length <= rectilinear_mst_length(pts)

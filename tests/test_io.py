@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench_suite import random_design
+from repro.bench_suite import SUITES, random_design
 from repro.flow import overcell_flow, two_layer_flow
 from repro.io import (
     design_from_dict,
@@ -69,6 +69,30 @@ class TestDesignRoundTrip:
         b = overcell_flow(clone)
         assert a.layout_area == b.layout_area
         assert a.wire_length == b.wire_length
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("height", 0.5), ("width", 0.5), ("height", True), ("width", "8")],
+    )
+    def test_non_integer_cell_dimension_rejected(self, field, value):
+        """A fractional height used to load and then crash routing with
+        ``KeyError: 'no track at coordinate ...'``."""
+        doc = design_to_dict(SUITES["ami33"]())
+        cell = doc["cells"][0]
+        cell[field] = cell[field] + value if isinstance(value, float) else value
+        with pytest.raises(ValueError, match=f"cell {cell['name']} {field}"):
+            design_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [2.5, False])
+    def test_non_integer_pin_offset_rejected(self, value):
+        doc = design_to_dict(SUITES["ami33"]())
+        cell = next(c for c in doc["cells"] if c["pins"])
+        pin = cell["pins"][0]
+        pin["offset"] = value
+        with pytest.raises(
+            ValueError, match=f"pin {pin['name']} offset on cell {cell['name']}"
+        ):
+            design_from_dict(doc)
 
     def test_bad_documents_rejected(self):
         with pytest.raises(ValueError):

@@ -323,6 +323,15 @@ class TestServerEndpoints:
             client.submit({"design": "nonexistent"})
         assert exc.value.status == 400
 
+    def test_non_finite_stackup_400(self, client):
+        stackup = json.loads(
+            (Path(__file__).parent / "golden" / "stackup_wide.json").read_text()
+        )
+        stackup["metals"][0]["pitch"] = float("inf")  # JSON 1e400
+        with pytest.raises(ServeError) as exc:
+            client.submit(toy_spec(technology=stackup))
+        assert exc.value.status == 400
+
     def test_submit_wait_result(self, client):
         record = client.submit(toy_spec(seed=100))
         assert record["_status"] == 202

@@ -127,6 +127,25 @@ class TestIngest:
         with pytest.raises(ValueError, match="not a multiple of grid_unit"):
             technology_from_stackup(doc)
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("inf"), float("-inf"), float("nan"), 10**400],
+        ids=["inf", "-inf", "nan", "huge-int"],
+    )
+    def test_non_finite_value_rejected(self, value):
+        """JSON ``1e400`` parses to ``inf``; quantizing it used to raise
+        ``OverflowError`` instead of a ``ValueError`` naming the field."""
+        doc = golden_stackup()
+        doc["metals"][2]["pitch"] = value
+        with pytest.raises(ValueError, match="metal3 pitch must be finite"):
+            technology_from_stackup(doc)
+
+    def test_non_finite_grid_unit_rejected(self):
+        doc = golden_stackup()
+        doc["grid_unit"] = float("inf")
+        with pytest.raises(ValueError, match="grid_unit must be finite"):
+            technology_from_stackup(doc)
+
     def test_bad_direction_rejected(self):
         doc = golden_stackup()
         doc["metals"][0]["direction"] = "diagonal"
