@@ -30,17 +30,7 @@ sys.path.insert(
 
 from repro import instrument  # noqa: E402
 from repro.bench_suite import SUITES  # noqa: E402
-from repro.flow import (  # noqa: E402
-    multilayer_channel_flow,
-    overcell_flow,
-    two_layer_flow,
-)
-
-_FLOWS = {
-    "two-layer": two_layer_flow,
-    "overcell": overcell_flow,
-    "ml-channel": multilayer_channel_flow,
-}
+from repro.flow import FLOWS  # noqa: E402
 
 DEFAULT_OUT = os.path.join(
     os.path.dirname(__file__), "artifacts", "BENCH_profile.json"
@@ -55,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(SUITES),
     )
     parser.add_argument(
-        "--flow", default="overcell", choices=sorted(_FLOWS)
+        "--flow", default="overcell", choices=sorted(FLOWS)
     )
     args = parser.parse_args(argv)
 
@@ -63,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     for suite in args.suites:
         design = SUITES[suite]()
         with instrument.collecting() as col:
-            result = _FLOWS[args.flow](design)
+            result = FLOWS[args.flow](design)
         print(result.summary())
         runs[suite] = {
             "summary": {

@@ -35,8 +35,15 @@ import json
 import sys
 
 from repro.bench_suite import SUITES
-from repro.flow import multilayer_channel_flow, overcell_flow, two_layer_flow
-from repro.io import flow_result_to_dict, load_design, save_design
+from repro.flow import (
+    FLOWS,
+    FlowParams,
+    multilayer_channel_flow,
+    overcell_flow,
+    resolve_design,
+    two_layer_flow,
+)
+from repro.io import flow_result_to_dict, save_design
 from repro.reporting import (
     format_table,
     table1_rows,
@@ -46,60 +53,43 @@ from repro.reporting import (
 from repro.reporting.tables import TABLE1_HEADERS, TABLE2_HEADERS, TABLE3_HEADERS
 from repro.viz.svg import svg_flow_result
 
-_FLOWS = {
-    "two-layer": two_layer_flow,
-    "overcell": overcell_flow,
-    "ml-channel": multilayer_channel_flow,
-}
-
-
 def _load_design_arg(args: argparse.Namespace):
-    if getattr(args, "design", None):
-        return load_design(args.design)
-    if getattr(args, "suite", None):
-        return SUITES[args.suite]()
+    if args.design:
+        return resolve_design(args.design, allow_path=True)
+    if args.suite:
+        return resolve_design(args.suite)
     raise SystemExit("one of --suite or --design is required")
 
 
-def _flow_params(args: argparse.Namespace):
-    """FlowParams honouring ``--tech`` and ``--planes`` arguments."""
-    from repro.flow import FlowParams
+#: FlowParams fields ``_add_flow_args`` declares as options.
+_FLOW_KNOBS = (
+    "planes", "backend", "hierarchical", "iterate", "max_iterations",
+    "ordering_policy", "objective",
+)
+
+
+def _flow_params(args: argparse.Namespace) -> FlowParams:
+    """The FlowParams a flow-running command's arguments spell."""
     from repro.io import load_technology
 
-    kwargs = {}
-    if getattr(args, "tech", None):
+    kwargs = {name: getattr(args, name) for name in _FLOW_KNOBS}
+    if args.tech:
         kwargs["technology"] = load_technology(args.tech)
-    if getattr(args, "planes", None):
-        kwargs["planes"] = args.planes
-    if getattr(args, "backend", None):
-        kwargs["backend"] = args.backend
-    if getattr(args, "hierarchical", False):
-        kwargs["hierarchical"] = True
-    if getattr(args, "iterate", False):
-        kwargs["iterate"] = True
-        kwargs["max_iterations"] = getattr(args, "max_iterations", 8)
-        kwargs["ordering_policy"] = getattr(
-            args, "ordering_policy", "longest-first"
-        )
-    if getattr(args, "objective", "wire") != "wire":
-        kwargs["objective"] = args.objective
     return FlowParams(**kwargs)
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    design = SUITES[args.name]()
+    design = resolve_design(args.name)
     save_design(design, args.out)
     print(f"wrote {design.stats()} to {args.out}")
     return 0
 
 
-def _cmd_flow(args: argparse.Namespace) -> int:
-    design = _load_design_arg(args)
-    result = _FLOWS[args.flow](design, _flow_params(args))
-    print(result.summary())
+def _write_outputs(args: argparse.Namespace, result, *, legend: bool = False) -> int:
+    """Write the ``--svg``/``--json`` outputs; exit 0 only on completion."""
     if args.svg:
         with open(args.svg, "w") as fh:
-            fh.write(svg_flow_result(result))
+            fh.write(svg_flow_result(result, legend=legend))
         print(f"layout plot written to {args.svg}")
     if args.json:
         with open(args.json, "w") as fh:
@@ -108,12 +98,17 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     return 0 if result.completion == 1.0 else 1
 
 
+def _cmd_flow(args: argparse.Namespace) -> int:
+    result = FLOWS[args.flow](_load_design_arg(args), args.params)
+    print(result.summary())
+    return _write_outputs(args, result)
+
+
 def _cmd_route(args: argparse.Namespace) -> int:
     """Over-cell flow with plane-labelled output (``--planes N``)."""
     from repro.technology import plane_layer_indices
 
-    design = _load_design_arg(args)
-    result = overcell_flow(design, _flow_params(args))
+    result = overcell_flow(_load_design_arg(args), args.params)
     print(result.summary())
     levelb = result.levelb
     if levelb is not None:
@@ -133,23 +128,14 @@ def _cmd_route(args: argparse.Namespace) -> int:
             f"  iterate: {iterate['iterations']} pass(es), {status} "
             f"(policy {iterate['policy']})"
         )
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(svg_flow_result(result, legend=True))
-        print(f"layout plot written to {args.svg}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(flow_result_to_dict(result), fh, indent=2)
-        print(f"result summary written to {args.json}")
-    return 0 if result.completion == 1.0 else 1
+    return _write_outputs(args, result, legend=True)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import routing_report
 
-    design = _load_design_arg(args)
-    params = _flow_params(args)
-    result = _FLOWS[args.flow](design, params)
+    params = args.params
+    result = FLOWS[args.flow](_load_design_arg(args), params)
     print(routing_report(result, technology=params.technology, top_n=args.top))
     if args.html:
         from repro.reporting import html_report
@@ -169,9 +155,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro import instrument
 
     design = _load_design_arg(args)
-    params = _flow_params(args)
     with instrument.collecting() as col:
-        result = _FLOWS[args.flow](design, params)
+        result = FLOWS[args.flow](design, args.params)
     print(result.summary())
     instrument.write_json(args.out, col)
     print(f"profile written to {args.out}")
@@ -193,8 +178,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     """Run a flow, verify its output independently, gate on violations."""
     from repro.check import check_flow
 
-    design = _load_design_arg(args)
-    result = _FLOWS[args.flow](design, _flow_params(args))
+    result = FLOWS[args.flow](_load_design_arg(args), args.params)
     print(result.summary())
     report = check_flow(result)
     print(report.render(limit=args.limit))
@@ -331,10 +315,23 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
-    """Level B storage/strategy knobs shared by the flow-running commands."""
+def _add_flow_args(
+    parser: argparse.ArgumentParser, *, choose_flow: bool = True
+) -> None:
+    """Design, flow and FlowParams knobs of the flow-running commands."""
+    from repro.core.router import OBJECTIVES
     from repro.grid import available_backends
+    from repro.iterate import available_policies
 
+    parser.add_argument("--suite", choices=sorted(SUITES))
+    parser.add_argument("--design", help="design JSON (repro.io format)")
+    if choose_flow:
+        parser.add_argument("--flow", choices=sorted(FLOWS), default="overcell")
+    parser.add_argument("--tech", help="technology JSON (repro.io format)")
+    parser.add_argument(
+        "--planes", type=int, default=1,
+        help="over-cell routing planes for level B (default 1)",
+    )
     parser.add_argument(
         "--backend",
         choices=available_backends(),
@@ -346,8 +343,6 @@ def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="coarse-then-detailed level B routing (docs/SCALING.md)",
     )
-    from repro.iterate import available_policies
-
     parser.add_argument(
         "--iterate",
         action="store_true",
@@ -369,7 +364,7 @@ def _add_levelb_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--objective",
-        choices=("wire", "vias"),
+        choices=OBJECTIVES,
         default="wire",
         help="level B routing objective (docs/TECHNOLOGY.md; "
         "default wire)",
@@ -389,51 +384,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.set_defaults(func=_cmd_suite)
 
     p_flow = sub.add_parser("flow", help="run one routing flow")
-    p_flow.add_argument("--suite", choices=sorted(SUITES))
-    p_flow.add_argument("--design", help="design JSON (repro.io format)")
-    p_flow.add_argument(
-        "--flow", choices=sorted(_FLOWS), default="overcell"
-    )
-    p_flow.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_flow.add_argument(
-        "--planes", type=int, default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_flow)
     p_flow.add_argument("--svg", help="write an SVG layout plot")
     p_flow.add_argument("--json", help="write a JSON result summary")
-    _add_levelb_args(p_flow)
     p_flow.set_defaults(func=_cmd_flow)
 
     p_route = sub.add_parser(
         "route",
         help="over-cell flow with per-plane output (see docs/LAYERS.md)",
     )
-    p_route.add_argument("--suite", choices=sorted(SUITES))
-    p_route.add_argument("--design", help="design JSON (repro.io format)")
-    p_route.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_route.add_argument(
-        "--planes", type=int, default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_route, choose_flow=False)
     p_route.add_argument(
         "--svg", help="write an SVG layout plot with the plane legend"
     )
     p_route.add_argument("--json", help="write a JSON result summary")
-    _add_levelb_args(p_route)
     p_route.set_defaults(func=_cmd_route)
 
     p_prof = sub.add_parser(
         "profile",
         help="run a flow with instrumentation and export the profile",
     )
-    p_prof.add_argument("--suite", choices=sorted(SUITES))
-    p_prof.add_argument("--design", help="design JSON (repro.io format)")
-    p_prof.add_argument("--flow", choices=sorted(_FLOWS), default="overcell")
-    p_prof.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_prof.add_argument(
-        "--planes", type=int, default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_prof)
     p_prof.add_argument(
         "--out", required=True, help="output profile JSON path"
     )
@@ -442,21 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write <prefix>.{counters,spans,events}.csv files",
         metavar="PREFIX",
     )
-    _add_levelb_args(p_prof)
     p_prof.set_defaults(func=_cmd_profile)
 
     p_check = sub.add_parser(
         "check",
         help="run a flow and verify its output with the static checker",
     )
-    p_check.add_argument("--suite", choices=sorted(SUITES))
-    p_check.add_argument("--design", help="design JSON (repro.io format)")
-    p_check.add_argument("--flow", choices=sorted(_FLOWS), default="overcell")
-    p_check.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_check.add_argument(
-        "--planes", type=int, default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_check)
     p_check.add_argument("--json", help="write the check report as JSON")
     p_check.add_argument(
         "--limit", type=int, default=50, help="violations to print"
@@ -466,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit nonzero on warnings too, not just errors",
     )
-    _add_levelb_args(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_lint = sub.add_parser(
@@ -531,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument(
         "--flows",
         nargs="+",
-        choices=sorted(_FLOWS),
+        choices=sorted(FLOWS),
         help="flows to run per suite (default: overcell)",
     )
     p_disp.add_argument(
@@ -604,25 +566,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="run a flow and print the full routing report"
     )
-    p_report.add_argument("--suite", choices=sorted(SUITES))
-    p_report.add_argument("--design", help="design JSON (repro.io format)")
-    p_report.add_argument("--flow", choices=sorted(_FLOWS), default="overcell")
-    p_report.add_argument("--tech", help="technology JSON (repro.io format)")
-    p_report.add_argument(
-        "--planes", type=int, default=1,
-        help="over-cell routing planes for level B (default 1)",
-    )
+    _add_flow_args(p_report)
     p_report.add_argument("--top", type=int, default=5,
                           help="slowest pins to list")
     p_report.add_argument("--html", help="also write a single-file HTML report")
-    _add_levelb_args(p_report)
     p_report.set_defaults(func=_cmd_report)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "planes" in vars(args):  # a flow-running command
+        try:
+            args.params = _flow_params(args)
+        except ValueError as exc:
+            parser.error(str(exc))  # exits 2, naming the field
     return args.func(args)
 
 

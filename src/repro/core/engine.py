@@ -7,19 +7,15 @@ found is an engine concern, expressed by the
 nets, decomposes multi-terminal trees, escalates regions, rips up and
 refines.  Two engines ship with the package:
 
-``"mbfs"`` (:class:`MBFSEngine`, this module)
+:class:`MBFSEngine` (this module)
     The paper's modified breadth-first search over the Track
     Intersection Graph plus Path Selection Tree backtracking
     (sections 3.1-3.2) - fast, minimum-corner, but incomplete on
     congested grids.
-``"lee"`` (:class:`repro.maze.lee.LeeEngine`)
+:class:`repro.maze.lee.LeeEngine`
     Lee/Dijkstra wave expansion - complete within a region, used both
     as a standalone baseline and as the rescue engine behind the
     ``maze_fallback`` config knob.
-
-Engines are looked up by name through a registry; the ``"lee"`` entry
-loads lazily via :mod:`importlib` so the core package never imports
-the maze package (the old router <-> maze import cycle is gone).
 
 Every engine commits selected paths through
 :meth:`repro.grid.RoutingGrid.commit_path` inside a
@@ -31,7 +27,6 @@ wiring mutations uniformly.
 from __future__ import annotations
 
 import abc
-import importlib
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
@@ -107,14 +102,6 @@ class ConnectionEngine(abc.ABC):
     construction-time tuning and may be shared across nets.
     """
 
-    #: Registry key; subclasses must override.
-    name: str = ""
-
-    @classmethod
-    def from_config(cls, config: object) -> "ConnectionEngine":
-        """Build an instance from a router config (default: no args)."""
-        return cls()
-
     @abc.abstractmethod
     def route(
         self,
@@ -132,48 +119,10 @@ class ConnectionEngine(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: dict[str, type[ConnectionEngine]] = {}
-# Engines living outside repro.core load on first lookup, keeping the
-# dependency arrow strictly maze -> core.
-_LAZY: dict[str, str] = {"lee": "repro.maze.lee"}
-
-
-def register_engine(cls: type[ConnectionEngine]) -> type[ConnectionEngine]:
-    """Class decorator: add a :class:`ConnectionEngine` to the registry."""
-    if not cls.name:
-        raise ValueError(f"engine class {cls.__name__} must set a name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def available_engines() -> list[str]:
-    """Names resolvable by :func:`get_engine` (registered or lazy)."""
-    return sorted(set(_REGISTRY) | set(_LAZY))
-
-
-def get_engine(name: str) -> type[ConnectionEngine]:
-    """Resolve an engine class by registry name."""
-    if name not in _REGISTRY and name in _LAZY:
-        importlib.import_module(_LAZY[name])
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown connection engine {name!r}; "
-            f"available: {available_engines()}"
-        ) from None
-
-
-# ----------------------------------------------------------------------
 # The MBFS / Path Selection Tree engine (paper sections 3.1-3.2)
 # ----------------------------------------------------------------------
-@register_engine
 class MBFSEngine(ConnectionEngine):
     """Minimum-corner routing via MBFS + PST backtracking selection."""
-
-    name = "mbfs"
 
     def route(
         self,

@@ -1,8 +1,8 @@
 """The level B router: serial over-cell routing on the reserved planes.
 
 The paper routes level B on the single metal3/metal4 pair; the router
-generalizes that to N reserved-layer planes (``LevelBConfig.planes``,
-default 1 — see docs/LAYERS.md), assigning each net to one plane up
+generalizes that to N reserved-layer planes (the router's ``planes``
+argument, default 1 — see docs/LAYERS.md), assigning each net to one plane up
 front and then routing it entirely on that plane's grid.
 
 Ties the pieces together exactly as section 3 describes:
@@ -11,9 +11,9 @@ Ties the pieces together exactly as section 3 describes:
    tracks to each net terminal;
 2. order the nets (longest distance first by default);
 3. for each two-terminal connection, hand the search/select/commit
-   cycle to the configured :class:`~repro.core.engine.ConnectionEngine`
-   (the MBFS/PST engine by default, per sections 3.1-3.2, committing
-   through the ``O(t)`` occupancy update of section 3.4);
+   cycle to the :class:`~repro.core.engine.MBFSEngine` (the MBFS/PST
+   search of sections 3.1-3.2, committing through the ``O(t)``
+   occupancy update of section 3.4);
 4. decompose multi-terminal nets with the Steiner-Prim builder,
    connecting each new terminal to the closest point (terminal or
    Steiner point) of the partially routed tree;
@@ -64,9 +64,9 @@ from repro.core.cost import CornerCostEvaluator, CostWeights, TrackHistory
 from repro.core.engine import (
     ConnectionEngine,
     EngineContext,
+    MBFSEngine,
     Region,
     RoutedConnection,
-    get_engine,
 )
 from repro.core.ordering import NetOrdering, order_nets
 from repro.core.steiner import SteinerTreeBuilder, dedupe_terminals
@@ -104,11 +104,6 @@ class LevelBConfig:
     max_depth: int = 12
     max_nodes_per_search: int = 250_000
     max_entries_per_track: int = 8
-    # Connection engines by registry name (repro.core.engine).  The
-    # primary engine routes every connection; the rescue engine is the
-    # last resort behind ``maze_fallback``.
-    engine: str = "mbfs"
-    rescue_engine: str = "lee"
     # The MBFS excludes paths with more than one corner per track, so
     # on congested grids a routable connection can be invisible to it
     # (the paper conditions 100% completion on the solution space).
@@ -134,31 +129,14 @@ class LevelBConfig:
     # rip/reroute runs in a grid transaction; a reroute that does not
     # improve on the old wiring is rolled back in O(cells touched).
     refinement_passes: int = 0
-    # Checked mode (repro.check): run the invariant sanitizer and grid
-    # bookkeeping audit after every net commit, raising CheckFailure on
-    # the first violation.  Off by default - it adds a full ledger
-    # replay per commit (see docs/VERIFICATION.md for measured cost).
-    checked: bool = False
-    # Over-cell planes (generalized layer stack, docs/LAYERS.md).  The
-    # default of 1 is the paper's single metal3/metal4 plane; with more
-    # planes the assignment pass (repro.core.assign) distributes nets
-    # across them by estimated congestion, pricing the deeper terminal
-    # via stacks with ``plane_via_weight`` per extra via level.
-    planes: int = 1
+    # Price of one extra via level in the terminal stacks of a net on
+    # an upper over-cell plane (plane assignment and corner costs).
     plane_via_weight: float = 4.0
-    # Occupancy storage backend (repro.grid.backend registry).  The
-    # default dense arrays are fastest per access; "sparse" keeps
-    # memory proportional to committed geometry so scale-tier designs
-    # fit (docs/SCALING.md).  Backends are bit-identical by contract:
-    # the choice never changes routed geometry.
-    backend: str = "dense"
-    # Routing objective: "wire" (the paper's wire-length-led cost, the
-    # default) or "vias" (via minimization — the plane assignment and
-    # cost model reprice corner and stack vias from the technology's
-    # per-level via costs, pulling nets toward shallow planes and
-    # penalising corners harder).  "wire" is bit-identical to the seed.
-    objective: str = "wire"
 
+
+#: Level B routing objectives: the paper's wire-length-led cost, or
+#: via minimization (docs/TECHNOLOGY.md).
+OBJECTIVES = ("wire", "vias")
 
 #: How much harder the "vias" objective leans on via prices than the
 #: default plane/corner weighting.  The knee of a measured trade-off:
@@ -392,13 +370,26 @@ class LevelBRouter:
         must be unique (results are indexed by name).
     technology:
         Supplies the over-cell plane stack (pitches, layer names);
-        must carry at least ``config.planes`` reserved pairs above
+        must carry at least ``planes`` reserved pairs above
         metal1/metal2.  Defaults to the paper's four-layer stack, or
-        an extended preset when ``config.planes > 1``.
+        an extended preset when ``planes > 1``.
     obstacles:
         Over-cell exclusions (:class:`Obstacle` or bare :class:`Rect`).
     config:
         Router tuning; defaults follow the paper's sparse setting.
+    planes:
+        Over-cell routing planes (docs/LAYERS.md); ``1`` is the paper's
+        metal3/metal4 pair.  More planes are shared out by the
+        assignment pass (:mod:`repro.core.assign`).
+    backend:
+        Occupancy storage (:mod:`repro.grid.backend`); every backend
+        commits bit-identical geometry (docs/SCALING.md).
+    objective:
+        ``"wire"`` (the paper's cost) or ``"vias"`` (via minimization,
+        docs/TECHNOLOGY.md).
+    checked:
+        Sanitize every net commit and raise ``CheckFailure`` on the
+        first violation (:mod:`repro.check`, docs/VERIFICATION.md).
     """
 
     def __init__(
@@ -409,18 +400,23 @@ class LevelBRouter:
         technology: Technology | None = None,
         obstacles: Iterable[Obstacle | Rect] = (),
         config: LevelBConfig | None = None,
+        planes: int = 1,
+        backend: str = "dense",
+        objective: str = "wire",
+        checked: bool = False,
     ) -> None:
         self.bounds = bounds
         self.config = config or LevelBConfig()
-        num_planes = self.config.planes
-        if num_planes < 1:
-            raise ValueError(f"config.planes must be >= 1, got {num_planes}")
-        if self.config.objective not in ("wire", "vias"):
+        if planes < 1:
+            raise ValueError(f"planes must be >= 1, got {planes}")
+        if objective not in OBJECTIVES:
             raise ValueError(
-                f"config.objective must be 'wire' or 'vias', "
-                f"got {self.config.objective!r}"
+                f"objective must be one of {OBJECTIVES}, got {objective!r}"
             )
-        if self.config.objective == "vias":
+        self.planes = planes
+        self.objective = objective
+        self.checked = checked
+        if objective == "vias":
             # The Lee rescue trades corners against length through
             # ``maze_via_penalty``; under via minimization every corner
             # is a via, so its price scales accordingly.  The replaced
@@ -434,15 +430,15 @@ class LevelBRouter:
             )
         tech = technology or (
             Technology.four_layer()
-            if num_planes == 1
-            else Technology.with_overcell_planes(num_planes)
+            if planes == 1
+            else Technology.with_overcell_planes(planes)
         )
         if tech.num_layers < 4:
             raise ValueError("level B routing needs a 4-layer technology")
-        if tech.num_overcell_planes < num_planes:
+        if tech.num_overcell_planes < planes:
             raise ValueError(
-                f"level B routing on {num_planes} planes needs a "
-                f"{2 + 2 * num_planes}-layer technology, "
+                f"level B routing on {planes} planes needs a "
+                f"{2 + 2 * planes}-layer technology, "
                 f"{tech.name} has {tech.num_layers}"
             )
         self.technology = tech
@@ -469,8 +465,8 @@ class LevelBRouter:
             v_pitch=self.stack.plane(0).v_pitch,
             h_pitch=self.stack.plane(0).h_pitch,
             terminal_points=terminal_points,
-            num_planes=num_planes,
-            backend=self.config.backend,
+            num_planes=planes,
+            backend=backend,
         )
         self.obstacles: list[Obstacle] = []
         for obs in obstacles:
@@ -490,7 +486,7 @@ class LevelBRouter:
         # scaled up by the technology's actual via costs, pulling nets
         # toward shallow planes (fewer stack-via levels per pin).
         via_weight = self.config.plane_via_weight
-        if self.config.objective == "vias":
+        if objective == "vias":
             mean_via_cost = sum(v.cost for v in tech.vias) / len(tech.vias)
             via_weight *= VIA_OBJECTIVE_SCALE * mean_via_cost
         self._plane_assignment = assign_planes(
@@ -499,7 +495,7 @@ class LevelBRouter:
                 for net, net_id in self._net_ids.items()
             ],
             bounds,
-            num_planes,
+            planes,
             via_weight,
         )
         # Width-class footprints: each net's (span, guard) claim on its
@@ -540,7 +536,7 @@ class LevelBRouter:
                 regions=self._regions,
                 add_nodes=self._add_nodes,
             )
-            for plane in range(num_planes)
+            for plane in range(planes)
         )
         self._ctx = self._ctxs[0]
 
@@ -548,15 +544,18 @@ class LevelBRouter:
     # Engine wiring
     # ------------------------------------------------------------------
     def _primary_engine(self) -> ConnectionEngine:
-        """The engine routing every connection (config-selected)."""
-        return get_engine(self.config.engine).from_config(self.config)
+        """The engine routing every connection."""
+        return MBFSEngine()
 
     def _rescue_engine(self) -> ConnectionEngine:
-        """The last-resort engine behind ``maze_fallback`` (lazy)."""
+        """The Lee engine behind ``maze_fallback``, built on first use.
+
+        Imported here so the dependency arrow stays maze -> core.
+        """
         if self._rescue is None:
-            self._rescue = get_engine(self.config.rescue_engine).from_config(
-                self.config
-            )
+            from repro.maze.lee import LeeEngine
+
+            self._rescue = LeeEngine.from_config(self.config)
         return self._rescue
 
     def _add_nodes(self, n: int) -> None:
@@ -599,7 +598,7 @@ class LevelBRouter:
         engines that trade corners against length (the Lee rescue) and
         keeps reported costs comparable across objectives.
         """
-        if self.config.objective != "vias":
+        if self.objective != "vias":
             return 0.0
         plane = self.tig.plane_of(net_id)
         return VIA_OBJECTIVE_SCALE * self.technology.corner_via_cost(plane)
@@ -701,7 +700,7 @@ class LevelBRouter:
                     with instrument.span(SPAN_LEVELB_NET):
                         outcome = self._route_net(net)
                 results[net] = outcome
-                if self.config.checked:
+                if self.checked:
                     self._sanitize(outcome, ambient_txn)
                 if outcome.complete:
                     instrument.event(
@@ -814,7 +813,7 @@ class LevelBRouter:
             else:
                 txn.rollback()
                 results[net] = old
-            if self.config.checked:
+            if self.checked:
                 self._sanitize(results[net], ambient_txn)
 
     def _sanitize(self, outcome: RoutedNet, ambient_txn: bool) -> None:
@@ -914,11 +913,7 @@ class LevelBRouter:
     ) -> RoutedConnection | None:
         """One connection through the primary engine, rescue as needed."""
         conn = self._engine.route(self._ctx_for(net_id), net_id, source, target)
-        if (
-            conn is None
-            and self.config.maze_fallback
-            and self._engine.name != self.config.rescue_engine
-        ):
+        if conn is None and self.config.maze_fallback:
             conn = self._maze_rescue(net_id, source, target)
         if conn is not None:
             instrument.count(CONNECTIONS_ROUTED)

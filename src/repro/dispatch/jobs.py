@@ -190,43 +190,16 @@ def _execute_job(job: Job) -> dict:
     (fork start methods inherit the parent's modules anyway).
     """
     start = time.perf_counter()
-    from repro.bench_suite import SUITES
-    from repro.flow import (
-        FlowParams,
-        multilayer_channel_flow,
-        overcell_flow,
-        two_layer_flow,
-    )
+    from repro.flow import FLOWS, FlowParams, resolve_design, result_summary
 
-    flows = {
-        "two-layer": two_layer_flow,
-        "overcell": overcell_flow,
-        "ml-channel": multilayer_channel_flow,
-    }
-    if job.design in SUITES:
-        design = SUITES[job.design]()
-    else:
-        from repro.io import load_design
-
-        design = load_design(job.design)
-    params = FlowParams(parallel=job.parallel)
-    result = flows[job.flow](design, params)
-    summary: dict = {
-        "design": result.design,
-        "flow": result.flow,
-        "completion": result.completion,
-        "wire_length": result.wire_length,
-        "via_count": result.via_count,
-        "layout_area": result.layout_area,
-        "flow_elapsed_s": round(time.perf_counter() - start, 6),
-    }
+    design = resolve_design(job.design, allow_path=True)
+    result = FLOWS[job.flow](design, FlowParams(parallel=job.parallel))
+    flow_elapsed_s = round(time.perf_counter() - start, 6)
     if job.check:
         from repro.check import check_flow
 
-        report = check_flow(result)
-        summary["check_clean"] = not report.violations
-        summary["check_violations"] = len(report.violations)
-    return summary
+        result.check_report = check_flow(result)
+    return dict(result_summary(result), flow_elapsed_s=flow_elapsed_s)
 
 
 def _job_ok(job: Job, summary: dict) -> bool:

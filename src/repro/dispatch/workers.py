@@ -34,7 +34,7 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPool
 from dataclasses import dataclass, replace
 from collections.abc import Iterator
 
-from repro.core.engine import EngineContext, Region, RoutedConnection, get_engine
+from repro.core.engine import EngineContext, MBFSEngine, Region, RoutedConnection
 from repro.core.cost import CornerCostEvaluator, TrackHistory
 from repro.core.router import (
     LevelBConfig,
@@ -114,8 +114,8 @@ def speculative_config(config: LevelBConfig, speculate_expansions: int) -> Level
     Workers attempt only the first ``speculate_expansions + 1`` bounded
     regions and never fall through to the whole-grid maze rescue: the
     escalation tail belongs to the serial path, where it runs with
-    authoritative state.  Rip-up, refinement and checked mode are
-    router-level concerns that never execute inside a worker.
+    authoritative state.  Rip-up and refinement are router-level
+    concerns that never execute inside a worker.
     """
     return replace(
         config,
@@ -123,7 +123,6 @@ def speculative_config(config: LevelBConfig, speculate_expansions: int) -> Level
         maze_fallback=False,
         max_ripups=0,
         refinement_passes=0,
-        checked=False,
     )
 
 
@@ -154,7 +153,7 @@ def route_net_task(task: NetTask) -> SpecResult:
         span, guard = task.footprint
         grid.set_net_footprint(task.net_id, span, guard=guard)
     cfg = task.config
-    engine = get_engine(cfg.engine).from_config(cfg)
+    engine = MBFSEngine()
     pad = max(cfg.weights.radius, cfg.parallel_run_separation, 1)
     # Wide nets probe `reach` tracks past every candidate; a window
     # edge inside that reach truncates reads serial routing would make.

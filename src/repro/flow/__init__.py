@@ -13,6 +13,9 @@ comparisons isolate the routing methodology:
   reduction (the paper's own assumption), plus a design-rule-aware
   variant as an ablation.
 
+:data:`FLOWS`, :func:`resolve_design` and :func:`result_summary` are
+the shared front door of the CLI, the batch runner and the server.
+
 :func:`routability_probe` complements the over-cell flow: it runs the
 same partition + channel pipeline, then routes set B inside one grid
 transaction and rolls it back - a what-if routability assessment that
@@ -22,14 +25,20 @@ commits nothing.
 from repro.flow.metrics import FlowResult, percent_reduction
 from repro.flow.params import FlowParams
 from repro.flow.pipeline import (
+    FLOWS,
     RoutabilityProbe,
     multilayer_channel_flow,
     overcell_flow,
+    resolve_design,
+    result_summary,
     routability_probe,
     two_layer_flow,
 )
 
 __all__ = [
+    "FLOWS",
+    "resolve_design",
+    "result_summary",
     "FlowParams",
     "FlowResult",
     "percent_reduction",

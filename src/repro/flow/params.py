@@ -1,18 +1,40 @@
-"""Flow configuration."""
+"""Flow configuration: the one validated home of every flow knob."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core import LevelBConfig
-from repro.core.router import Obstacle
+from repro.core.router import OBJECTIVES, Obstacle
+from repro.grid import available_backends
 from repro.partition import PartitionStrategy
 from repro.technology import Technology
+
+#: Detailed channel routers level A can run (``FlowParams.channel_router``).
+CHANNEL_ROUTERS = ("greedy", "left-edge")
+#: Dispatch executor kinds (``FlowParams.parallel_mode``).
+PARALLEL_MODES = ("process", "thread", "serial")
+
+
+def _is_count(value: object, low: int) -> bool:
+    # bool is an int subclass, but a JSON ``true`` is not a count.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_positive(value: object) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return 0 < value < math.inf
 
 
 @dataclass(frozen=True)
 class FlowParams:
     """Knobs shared by every flow.
+
+    Construction validates every scalar knob and raises a
+    :class:`ValueError` naming the offending field, so the CLI, the
+    batch runner and the serve protocol share one boundary.
 
     Attributes
     ----------
@@ -71,8 +93,7 @@ class FlowParams:
         behavior exactly; ``N > 1`` distributes level B nets across N
         reserved-layer pairs (extending ``technology`` with
         extrapolated pairs when it is too short — see
-        :func:`repro.technology.ensure_overcell_planes`).  A value
-        above 1 overrides ``levelb.planes``.
+        :func:`repro.technology.ensure_overcell_planes`).
     iterate:
         Negotiated-congestion rip-up-and-re-route for level B
         (``repro.iterate`` — docs/ITERATION.md).  Off by default: a
@@ -94,7 +115,6 @@ class FlowParams:
         wire-length-led cost, bit-identical to the seed) or ``"vias"``
         (via minimization — plane assignment and corner pricing driven
         by the technology's per-level via costs, docs/TECHNOLOGY.md).
-        Overrides ``levelb.objective``.
     """
 
     technology: Technology = field(default_factory=Technology.four_layer)
@@ -116,6 +136,39 @@ class FlowParams:
     max_iterations: int = 8
     ordering_policy: str = "longest-first"
     objective: str = "wire"
+
+    def __post_init__(self) -> None:
+        # repro.iterate sits above the flow layer; import on use.
+        from repro.iterate import available_policies
+
+        for name, choices in (
+            ("channel_router", CHANNEL_ROUTERS),
+            ("parallel_mode", PARALLEL_MODES),
+            ("backend", available_backends()),
+            ("ordering_policy", available_policies()),
+            ("objective", OBJECTIVES),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in choices:
+                what = name.replace("_", " ")
+                raise ValueError(f"{name}: unknown {what} {value!r} (available: {list(choices)})")
+        threshold = self.length_threshold
+        finite = "a positive finite number"
+        for name, ok, expected in (
+            ("margin", _is_count(self.margin, 0), "an integer >= 0"),
+            ("aspect", _is_positive(self.aspect), finite),
+            ("partition", isinstance(self.partition, PartitionStrategy), "a PartitionStrategy"),
+            ("length_threshold", threshold is None or _is_count(threshold, 0), "an integer >= 0"),
+            ("channel_area_factor", _is_positive(self.channel_area_factor), finite),
+            ("checked", isinstance(self.checked, bool), "a boolean"),
+            ("parallel", _is_count(self.parallel, 0), "an integer >= 0"),
+            ("planes", _is_count(self.planes, 1), "an integer >= 1"),
+            ("hierarchical", isinstance(self.hierarchical, bool), "a boolean"),
+            ("iterate", isinstance(self.iterate, bool), "a boolean"),
+            ("max_iterations", _is_count(self.max_iterations, 0), "an integer >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
 
     @property
     def channel_pitch(self) -> int:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from collections.abc import Sequence
+from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from typing import Any
 
 from repro import instrument
 from repro.instrument.names import (
@@ -28,6 +29,7 @@ from repro.instrument.names import (
     SPAN_GLOBAL_ROUTE,
     SPAN_PLACEMENT,
 )
+from repro.bench_suite import SUITES
 from repro.channels import (
     ChannelRoute,
     ChannelRoutingError,
@@ -39,6 +41,7 @@ from repro.flow.metrics import FlowResult
 from repro.flow.params import FlowParams
 from repro.geometry import Rect
 from repro.globalroute import GlobalRoute, GlobalRouter
+from repro.io import design_from_dict, load_design
 from repro.netlist import Design, Net
 from repro.partition import PartitionStrategy, partition_nets
 from repro.placement import RowPlacement
@@ -59,10 +62,8 @@ def _route_channels(
 
     The left-edge router cannot handle vertical-constraint cycles;
     cyclic channels silently fall back to the greedy router so flows
-    always complete.
+    always complete.  :class:`FlowParams` validates ``channel_router``.
     """
-    if channel_router not in ("greedy", "left-edge"):
-        raise ValueError(f"unknown channel router {channel_router!r}")
     greedy = GreedyChannelRouter()
     left_edge = LeftEdgeRouter() if channel_router == "left-edge" else None
     routes = []
@@ -291,9 +292,8 @@ class _LevelBSetup:
 def _levelb_setup(design: Design, params: FlowParams, checked: bool) -> _LevelBSetup:
     """Partition, route set A in the channels, realise, build level B.
 
-    ``params`` overrides for backend, objective and planes land in the
-    router config; ``checked`` turns on the router's checked mode (the
-    routability probe never does).
+    ``checked`` turns on the router's checked mode (the routability
+    probe never does).
     """
     nets = design.routable_nets()
     if params.partition is PartitionStrategy.LONG_TO_B:
@@ -313,28 +313,21 @@ def _levelb_setup(design: Design, params: FlowParams, checked: bool) -> _LevelBS
         right_width=side_widths[1],
         margin=params.margin,
     )
-    config = params.levelb
-    if checked and not config.checked:
-        config = replace(config, checked=True)
-    if params.backend != config.backend:
-        config = replace(config, backend=params.backend)
-    if params.objective != config.objective:
-        config = replace(config, objective=params.objective)
-    # FlowParams.planes > 1 overrides the router config; a technology
-    # too short for the requested plane count is extended with
-    # extrapolated reserved pairs (docs/LAYERS.md).
-    planes = params.planes if params.planes > 1 else config.planes
-    if planes != config.planes:
-        config = replace(config, planes=planes)
+    # A technology too short for the requested plane count is extended
+    # with extrapolated reserved pairs (docs/LAYERS.md).
     technology = params.technology
-    if planes > 1:
-        technology = ensure_overcell_planes(technology, planes)
+    if params.planes > 1:
+        technology = ensure_overcell_planes(technology, params.planes)
     router = LevelBRouter(
         bounds,
         set_b,
         technology=technology,
         obstacles=params.obstacles,
-        config=config,
+        config=params.levelb,
+        planes=params.planes,
+        backend=params.backend,
+        objective=params.objective,
+        checked=checked,
     )
     return _LevelBSetup(
         set_a, set_b, placement, global_route, routes, heights, side_widths,
@@ -350,7 +343,7 @@ def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
         setup.global_route, routes, setup.placement, setup.heights,
         setup.side_widths, params.channel_pitch,
     )
-    planes = setup.router.config.planes
+    planes = setup.router.planes
     levelb, iterate_report = _route_levelb(setup.router, params)
     result = FlowResult(
         flow="overcell-4layer" if planes == 1 else f"overcell-{2 + 2 * planes}layer",
@@ -381,7 +374,7 @@ def _overcell_flow(design: Design, params: FlowParams | None) -> FlowResult:
         level_b_pins=pins_b,
         level_a_wire=wire_a,
         level_b_wire=levelb.total_wire_length,
-        objective=setup.router.config.objective,
+        objective=setup.router.objective,
         # Per-net via breakdown (corner vias + terminal stacks), the
         # quantity objective="vias" minimizes; summed in
         # ``level_b_vias`` for quick comparison across objectives.
@@ -617,3 +610,54 @@ def _multilayer_channel_flow(
         "hvh": "real HVH three-layer channel routing",
     }[model]
     return _maybe_check(result, params)
+
+
+# ----------------------------------------------------------------------
+# The front door shared by the CLI, the batch runner and the server
+# ----------------------------------------------------------------------
+#: Flow name -> flow function.
+FLOWS: dict[str, Callable[[Design, FlowParams | None], FlowResult]] = {
+    "two-layer": two_layer_flow,
+    "overcell": overcell_flow,
+    "ml-channel": multilayer_channel_flow,
+}
+
+
+def resolve_design(source: str | dict[str, Any], *, allow_path: bool = False) -> Design:
+    """Materialise a design from a suite name, a document or a path.
+
+    ``source`` is a suite name, an inline ``repro-design`` document or —
+    only with ``allow_path`` — a design JSON path; the server never
+    passes it, so a client cannot make it read a file.  Bad input
+    raises :class:`ValueError`.
+    """
+    if isinstance(source, dict):
+        try:
+            return design_from_dict(source)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"invalid design document: {exc}") from None
+    if source in SUITES:
+        return SUITES[source]()
+    if allow_path:
+        return load_design(source)
+    raise ValueError(f"unknown suite {source!r} (available: {sorted(SUITES)})")
+
+
+def result_summary(result: FlowResult) -> dict[str, Any]:
+    """The flat JSON-safe summary of a finished flow.
+
+    ``check_clean``/``check_violations`` appear when the result carries
+    a verification report.
+    """
+    summary: dict[str, Any] = {
+        "design": result.design,
+        "flow": result.flow,
+        "completion": result.completion,
+        "wire_length": result.wire_length,
+        "via_count": result.via_count,
+        "layout_area": result.layout_area,
+    }
+    if result.check_report is not None:
+        summary["check_clean"] = not result.check_report.violations
+        summary["check_violations"] = len(result.check_report.violations)
+    return summary

@@ -11,10 +11,10 @@ generalisation of Lee's algorithm to weighted grids - and it returns a
 minimum-cost path whenever one exists, which also makes it the test
 oracle for the MBFS router's completeness within a region.
 
-:class:`LeeEngine` packages the search as a registered
-:class:`~repro.core.engine.ConnectionEngine` (name ``"lee"``), so the
-same code serves as the standalone :class:`MazeRouter` baseline and as
-the rescue engine behind ``LevelBConfig.maze_fallback``.
+:class:`LeeEngine` packages the search as a
+:class:`~repro.core.engine.ConnectionEngine`, so the same code serves
+as the standalone :class:`MazeRouter` baseline and as the rescue engine
+behind ``LevelBConfig.maze_fallback``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from repro.core.engine import (
     Region,
     RoutedConnection,
     path_length,
-    register_engine,
 )
-from repro.core.router import LevelBRouter
+from repro.core.router import LevelBConfig, LevelBRouter
 from repro.core.tig import GridTerminal
 
 HORIZONTAL = 0
@@ -185,7 +184,6 @@ def lee_search(
     return waypoints, corners, stats
 
 
-@register_engine
 class LeeEngine(ConnectionEngine):
     """Lee/Dijkstra wave expansion as a pluggable connection engine.
 
@@ -196,14 +194,13 @@ class LeeEngine(ConnectionEngine):
     aggregate on one scale.
     """
 
-    name = "lee"
-
     def __init__(self, via_penalty: float = 10.0) -> None:
         self.via_penalty = via_penalty
 
     @classmethod
-    def from_config(cls, config: object) -> "LeeEngine":
-        return cls(via_penalty=getattr(config, "maze_via_penalty", 10.0))
+    def from_config(cls, config: LevelBConfig) -> "LeeEngine":
+        """The engine pricing corners at ``config.maze_via_penalty``."""
+        return cls(via_penalty=config.maze_via_penalty)
 
     def route(
         self,
@@ -257,10 +254,15 @@ class MazeRouter(LevelBRouter):
     Inherits the whole net loop (ordering, Steiner decomposition,
     region escalation, rip-up, refinement) from :class:`LevelBRouter`
     and swaps only the per-connection engine, so benchmark comparisons
-    isolate the search algorithm.
+    isolate the search algorithm.  Its corner price is the configured
+    ``maze_via_penalty``, scaled under ``objective="vias"``.
     """
 
-    via_penalty: float = 10.0
-
     def _primary_engine(self) -> ConnectionEngine:
-        return LeeEngine(via_penalty=self.via_penalty)
+        return LeeEngine.from_config(self.config)
+
+    def _maze_rescue(
+        self, net_id: int, source: GridTerminal, target: GridTerminal
+    ) -> RoutedConnection | None:
+        """No rescue: the primary Lee search already ends on the whole grid."""
+        return None

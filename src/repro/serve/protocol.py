@@ -5,7 +5,8 @@ run: the design (a built-in suite name or an inline ``repro-design``
 document), the flow, an optional technology document, and the routing
 knobs that change the answer (``planes``) or how it is produced
 (``parallel``, ``check``).  Specs validate strictly on ingest so a
-malformed request fails at the HTTP boundary, not inside a worker.
+malformed request fails at the HTTP boundary, not inside a worker: the
+knobs via :class:`~repro.flow.FlowParams`, designs via :func:`~repro.flow.resolve_design`.
 
 Every spec has a *canonical digest* — :func:`repro.io.canonical_digest`
 over its canonical document — which keys the server's result cache.
@@ -30,11 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.flow import FLOWS, FlowParams, resolve_design, result_summary
 from repro.io import canonical_digest
 
 PROTOCOL_VERSION = 1
-
-FLOW_NAMES = ("two-layer", "overcell", "ml-channel")
 
 _SPEC_KEYS = frozenset(
     {
@@ -102,6 +102,11 @@ SERVER_DEFAULTED = frozenset(
 )
 
 
+#: Spec keys that :class:`~repro.flow.FlowParams` validates; all but
+#: ``check`` (``FlowParams.checked``) share their field's name.
+_KNOB_KEYS = tuple(sorted(_SPEC_KEYS - {"design", "flow", "technology"}))
+
+
 class SpecError(ValueError):
     """A client request that fails validation (HTTP 400)."""
 
@@ -154,12 +159,16 @@ class JobSpec:
                 raise SpecError(
                     "inline design must be a 'repro-design' document"
                 )
+            try:
+                resolve_design(design)
+            except ValueError as exc:
+                raise SpecError(str(exc)) from None
         else:
             raise SpecError("'design' must be a suite name or design document")
         flow = data.get("flow", "overcell")
-        if flow not in FLOW_NAMES:
+        if not isinstance(flow, str) or flow not in FLOWS:
             raise SpecError(
-                f"unknown flow {flow!r} (available: {sorted(FLOW_NAMES)})"
+                f"unknown flow {flow!r} (available: {sorted(FLOWS)})"
             )
         technology = data.get("technology")
         if technology is not None:
@@ -180,61 +189,13 @@ class JobSpec:
                 technology = technology_to_dict(technology_from_any(technology))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SpecError(f"invalid technology document: {exc}")
-        planes = data.get("planes", 1)
-        if not isinstance(planes, int) or planes < 1:
-            raise SpecError("'planes' must be an integer >= 1")
-        parallel = data.get("parallel", 0)
-        if not isinstance(parallel, int) or parallel < 0:
-            raise SpecError("'parallel' must be an integer >= 0")
-        check = data.get("check", False)
-        if not isinstance(check, bool):
-            raise SpecError("'check' must be a boolean")
-        backend = data.get("backend", "dense")
-        if not isinstance(backend, str):
-            raise SpecError("'backend' must be a string")
-        from repro.grid import available_backends
-
-        if backend not in available_backends():
-            raise SpecError(
-                f"unknown backend {backend!r} "
-                f"(available: {available_backends()})"
-            )
-        hierarchical = data.get("hierarchical", False)
-        if not isinstance(hierarchical, bool):
-            raise SpecError("'hierarchical' must be a boolean")
-        iterate = data.get("iterate", False)
-        if not isinstance(iterate, bool):
-            raise SpecError("'iterate' must be a boolean")
-        max_iterations = data.get("max_iterations", 8)
-        if not isinstance(max_iterations, int) or max_iterations < 0:
-            raise SpecError("'max_iterations' must be an integer >= 0")
-        ordering_policy = data.get("ordering_policy", "longest-first")
-        if not isinstance(ordering_policy, str):
-            raise SpecError("'ordering_policy' must be a string")
-        from repro.iterate import available_policies
-
-        if ordering_policy not in available_policies():
-            raise SpecError(
-                f"unknown ordering policy {ordering_policy!r} "
-                f"(available: {list(available_policies())})"
-            )
-        objective = data.get("objective", "wire")
-        if objective not in ("wire", "vias"):
-            raise SpecError("'objective' must be 'wire' or 'vias'")
-        return cls(
-            design=design,
-            flow=flow,
-            technology=technology,
-            planes=planes,
-            parallel=parallel,
-            check=check,
-            backend=backend,
-            hierarchical=hierarchical,
-            iterate=iterate,
-            max_iterations=max_iterations,
-            ordering_policy=ordering_policy,
-            objective=objective,
-        )
+        knobs = {key: data[key] for key in _KNOB_KEYS if key in data}
+        spec = cls(design=design, flow=flow, technology=technology, **knobs)
+        try:
+            build_params(spec)  # FlowParams validates every knob
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
+        return spec
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -307,39 +268,17 @@ def probe_canonical(spec: JobSpec) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-def build_design(spec: JobSpec) -> Any:
-    """Materialise the spec's design (suite factory or inline doc)."""
-    if isinstance(spec.design, str):
-        from repro.bench_suite import SUITES
-
-        return SUITES[spec.design]()
-    from repro.io import design_from_dict
-
-    return design_from_dict(spec.design)
-
-
-def build_params(spec: JobSpec) -> Any:
+def build_params(spec: JobSpec) -> FlowParams:
     """The :class:`~repro.flow.FlowParams` a spec translates to.
 
     In-server parallel routing uses thread dispatch: the serving
     process is already multi-threaded and fork-from-threads is the
     kind of surprise a long-lived server cannot afford.
     """
-    from repro.flow import FlowParams
     from repro.io import technology_from_dict
 
-    kwargs: dict[str, Any] = {
-        "planes": spec.planes,
-        "parallel": spec.parallel,
-        "parallel_mode": "thread",
-        "checked": spec.check,
-        "backend": spec.backend,
-        "hierarchical": spec.hierarchical,
-        "iterate": spec.iterate,
-        "max_iterations": spec.max_iterations,
-        "ordering_policy": spec.ordering_policy,
-        "objective": spec.objective,
-    }
+    kwargs: dict[str, Any] = {key: getattr(spec, key) for key in _KNOB_KEYS}
+    kwargs.update(checked=kwargs.pop("check"), parallel_mode="thread")
     if spec.technology is not None:
         kwargs["technology"] = technology_from_dict(spec.technology)
     return FlowParams(**kwargs)
@@ -354,37 +293,18 @@ def execute_spec(spec: JobSpec) -> dict[str, Any]:
     ``"result"`` for the ``/jobs/<id>/result`` endpoint.
     """
     from repro import instrument
-    from repro.flow import (
-        multilayer_channel_flow,
-        overcell_flow,
-        two_layer_flow,
-    )
     from repro.instrument.names import SPAN_SERVE_JOB
     from repro.io import flow_result_to_dict
 
-    flows = {
-        "two-layer": two_layer_flow,
-        "overcell": overcell_flow,
-        "ml-channel": multilayer_channel_flow,
-    }
-    design = build_design(spec)
+    design = resolve_design(spec.design)
     params = build_params(spec)
     with instrument.span(SPAN_SERVE_JOB):
-        result = flows[spec.flow](design, params)
-    payload: dict[str, Any] = {
+        result = FLOWS[spec.flow](design, params)
+    return {
         "digest": spec.digest(),
-        "design": result.design,
-        "flow": result.flow,
-        "completion": result.completion,
-        "wire_length": result.wire_length,
-        "via_count": result.via_count,
-        "layout_area": result.layout_area,
+        **result_summary(result),
+        "result": flow_result_to_dict(result),
     }
-    if spec.check and result.check_report is not None:
-        payload["check_clean"] = not result.check_report.violations
-        payload["check_violations"] = len(result.check_report.violations)
-    payload["result"] = flow_result_to_dict(result)
-    return payload
 
 
 def execute_probe(spec: JobSpec) -> dict[str, Any]:
@@ -393,7 +313,7 @@ def execute_probe(spec: JobSpec) -> dict[str, Any]:
     from repro.flow import routability_probe
     from repro.instrument.names import SPAN_SERVE_PROBE
 
-    design = build_design(spec)
+    design = resolve_design(spec.design)
     params = build_params(spec)
     with instrument.span(SPAN_SERVE_PROBE):
         probe = routability_probe(design, params)

@@ -168,7 +168,10 @@ class TestHonestOutput:
         assert result.check_report.ok
 
     def test_checked_mode_is_off_by_default(self):
-        assert LevelBConfig().checked is False
+        router = LevelBRouter(
+            Rect(0, 0, 256, 256), list(make_toy_design().nets.values())
+        )
+        assert router.checked is False
         assert FlowParams().checked is False
         assert overcell_flow(make_toy_design()).check_report is None
 
@@ -369,7 +372,7 @@ class TestCheckedMode:
         router = LevelBRouter(
             Rect(0, 0, 256, 256),
             list(design.nets.values()),
-            config=LevelBConfig(checked=True),
+            checked=True,
         )
         # Poison the occupancy array before routing: the first commit's
         # audit must catch the unledgered cell.
@@ -383,7 +386,8 @@ class TestCheckedMode:
         router = LevelBRouter(
             Rect(0, 0, 256, 256),
             list(design.nets.values()),
-            config=LevelBConfig(checked=True, refinement_passes=1),
+            config=LevelBConfig(refinement_passes=1),
+            checked=True,
         )
         result = router.route()
         assert check_levelb(result).ok
@@ -393,7 +397,7 @@ class TestCheckedMode:
         router = LevelBRouter(
             Rect(0, 0, 256, 256),
             list(design.nets.values()),
-            config=LevelBConfig(checked=True),
+            checked=True,
         )
         before = router.tig.grid.snapshot()
         router.probe()  # journal is populated throughout - no violation

@@ -103,6 +103,24 @@ class TestRouteCommand:
         assert "plane 1" not in out
 
 
+class TestFlowParamsBoundary:
+    @pytest.mark.parametrize(
+        "argv, field_name",
+        [
+            (["--planes", "0"], "planes"),
+            (["--planes", "-2"], "planes"),
+            (["--iterate", "--max-iterations", "-3"], "max_iterations"),
+        ],
+    )
+    def test_bad_count_exits_2_naming_the_field(self, argv, field_name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["route", "--suite", "ami33", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert field_name in err
+        assert "Traceback" not in err
+
+
 class TestCheckCommand:
     @pytest.fixture()
     def design_file(self, tmp_path):

@@ -170,7 +170,6 @@ class TestWorkers:
         assert not spec.maze_fallback
         assert spec.max_ripups == 0
         assert spec.refinement_passes == 0
-        assert not spec.checked
         assert speculative_config(cfg, 99).max_region_expansions == (
             cfg.max_region_expansions
         )

@@ -158,3 +158,82 @@ class TestChannelRouterChoice:
         # Same decomposition, possibly different track counts.
         assert len(lea.channel_tracks) == len(baseline.channel_tracks)
         assert lea.completion == baseline.completion == 1.0
+
+
+# Every scalar FlowParams field with values the boundary must refuse: a
+# wrong type, a bool where an integer belongs, an out-of-range value,
+# or a name no registry knows.
+_BAD_FLOW_PARAMS = [
+    ("channel_router", "magic"),
+    ("channel_router", 1),
+    ("margin", -5),
+    ("margin", 2.5),
+    ("margin", True),
+    ("aspect", 0.0),
+    ("aspect", -1.0),
+    ("aspect", float("nan")),
+    ("aspect", "wide"),
+    ("aspect", True),
+    ("partition", "critical"),
+    ("length_threshold", -1),
+    ("length_threshold", True),
+    ("length_threshold", 3.0),
+    ("channel_area_factor", 0),
+    ("channel_area_factor", float("inf")),
+    ("checked", 1),
+    ("checked", "yes"),
+    ("parallel", -1),
+    ("parallel", True),
+    ("parallel", 2.0),
+    ("parallel_mode", "fork"),
+    ("parallel_mode", None),
+    ("planes", 0),
+    ("planes", -2),
+    ("planes", True),
+    ("planes", "2"),
+    ("backend", "ramdisk"),
+    ("backend", None),
+    ("hierarchical", 1),
+    ("iterate", "yes"),
+    ("iterate", 0),
+    ("max_iterations", -3),
+    ("max_iterations", False),
+    ("ordering_policy", "nope"),
+    ("ordering_policy", 3),
+    ("objective", "fastest"),
+    ("objective", True),
+]
+
+
+class TestFlowParamsBoundary:
+    @pytest.mark.parametrize(
+        "field_name, value",
+        _BAD_FLOW_PARAMS,
+        ids=[f"{name}={value!r}" for name, value in _BAD_FLOW_PARAMS],
+    )
+    def test_bad_value_names_the_field(self, field_name, value):
+        with pytest.raises(ValueError, match=field_name):
+            FlowParams(**{field_name: value})
+
+    def test_every_scalar_field_is_covered(self):
+        import dataclasses
+
+        composite = {"technology", "levelb", "obstacles"}
+        scalars = {f.name for f in dataclasses.fields(FlowParams)} - composite
+        assert scalars == {name for name, _ in _BAD_FLOW_PARAMS}
+
+    def test_defaults_and_registered_names_accepted(self):
+        FlowParams()
+        FlowParams(
+            channel_router="left-edge",
+            margin=0,
+            aspect=2,
+            length_threshold=0,
+            parallel=4,
+            parallel_mode="serial",
+            planes=3,
+            backend="sparse",
+            max_iterations=0,
+            ordering_policy="congestion",
+            objective="vias",
+        )

@@ -100,3 +100,25 @@ class TestMazeRouter:
         # Both should be within 2x of each other on this easy instance.
         assert maze.total_wire_length < 2 * mbfs.total_wire_length
         assert mbfs.total_wire_length < 2 * maze.total_wire_length
+
+
+class TestMazeRouterPenalty:
+    def _router(self, **kwargs):
+        from repro.core import LevelBConfig
+
+        design = make_toy_design()
+        return MazeRouter(
+            Rect(0, 0, 256, 256),
+            list(design.nets.values()),
+            config=LevelBConfig(maze_via_penalty=3.5),
+            **kwargs,
+        )
+
+    def test_engine_carries_configured_penalty(self):
+        assert self._router()._engine.via_penalty == 3.5
+
+    def test_vias_objective_scales_penalty(self):
+        from repro.core.router import VIA_OBJECTIVE_SCALE
+
+        router = self._router(objective="vias")
+        assert router._engine.via_penalty == 3.5 * VIA_OBJECTIVE_SCALE

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.bench_suite import ami33_like, ex3_like, xerox_like
-from repro.core import LevelBConfig, LevelBRouter, NetDemand, assign_planes
+from repro.core import LevelBRouter, NetDemand, assign_planes
 from repro.flow import FlowParams, overcell_flow
 from repro.geometry import Interval, Point, Rect
 from repro.grid import PlaneSet, TrackSet
@@ -186,7 +186,7 @@ class TestMultiPlaneRouting:
                 Rect(0, 0, 256, 256),
                 list(design.nets.values()),
                 technology=Technology.four_layer(),
-                config=LevelBConfig(planes=2),
+                planes=2,
             )
 
     def test_two_plane_toy_route(self):
@@ -194,7 +194,7 @@ class TestMultiPlaneRouting:
         result = LevelBRouter(
             Rect(0, 0, 256, 256),
             list(design.nets.values()),
-            config=LevelBConfig(planes=2),
+            planes=2,
         ).route()
         assert result.num_planes == 2
         assert result.completion_rate == 1.0
@@ -206,7 +206,7 @@ class TestMultiPlaneRouting:
         result = LevelBRouter(
             Rect(0, 0, 256, 256),
             list(design.nets.values()),
-            config=LevelBConfig(planes=2),
+            planes=2,
         ).route()
         # Every terminal stack of a plane-1 net is 2 levels deeper, so
         # total vias must be >= the naive plane-0 count.

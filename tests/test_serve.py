@@ -64,6 +64,34 @@ class TestJobSpec:
         with pytest.raises(SpecError, match="repro-design"):
             JobSpec.from_dict({"design": {"name": "x"}})
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("planes", True), ("parallel", True), ("max_iterations", False)],
+    )
+    def test_bool_is_not_an_integer_knob(self, knob, value):
+        # JSON true == 1 in Python; accepting it would key a second
+        # cache entry for the same job.
+        with pytest.raises(SpecError, match=knob):
+            JobSpec.from_dict({"design": "ami33", knob: value})
+
+    def test_inline_design_dangling_pin_rejected_at_submit(self):
+        spec = toy_spec()
+        spec["design"]["nets"][0]["pins"].append("nosuchcell.p000")
+        with pytest.raises(SpecError, match="nosuchcell.p000"):
+            JobSpec.from_dict(spec)
+
+    def test_inline_design_bad_geometry_rejected_at_submit(self):
+        spec = toy_spec()
+        spec["design"]["cells"][0]["height"] = "tall"
+        with pytest.raises(SpecError, match="height"):
+            JobSpec.from_dict(spec)
+
+    def test_inline_design_without_cells_rejected_at_submit(self):
+        spec = toy_spec()
+        spec["design"]["cells"] = []
+        with pytest.raises(SpecError, match="unknown pin"):
+            JobSpec.from_dict(spec)
+
     def test_bad_planes_rejected(self):
         with pytest.raises(SpecError, match="planes"):
             JobSpec.from_dict({"design": "ex3", "planes": 0})
@@ -256,13 +284,19 @@ class TestJobQueue:
         finally:
             q.close()
 
-    def test_failed_job_records_error(self):
-        bad = toy_spec()
-        bad["design"] = dict(bad["design"], cells=[])  # no cells: flow dies
+    def test_failed_job_records_error(self, monkeypatch):
+        import repro.serve.jobqueue as jobqueue_mod
+
+        def fault(spec):
+            raise RuntimeError("injected worker fault")
+
+        # Submit-time validation refuses broken designs, so the failure
+        # is raised inside the worker instead.
+        monkeypatch.setattr(jobqueue_mod, "execute_spec", fault)
         q = JobQueue(workers=1, retries=0)
         q.start()
         try:
-            record = q.submit(JobSpec.from_dict(bad))
+            record = q.submit(JobSpec.from_dict(toy_spec()))
             assert record.wait(timeout_s=30.0)
             assert record.state == "failed"
             assert record.ok is False
@@ -321,6 +355,19 @@ class TestServerEndpoints:
     def test_invalid_spec_400(self, client):
         with pytest.raises(ServeError) as exc:
             client.submit({"design": "nonexistent"})
+        assert exc.value.status == 400
+
+    def test_bool_planes_400(self, client):
+        with pytest.raises(ServeError) as exc:
+            client.submit({"design": "ami33", "planes": True})
+        assert exc.value.status == 400
+        assert "planes" in str(exc.value)
+
+    def test_design_without_cells_400(self, client):
+        spec = toy_spec()
+        spec["design"]["cells"] = []
+        with pytest.raises(ServeError) as exc:
+            client.submit(spec)
         assert exc.value.status == 400
 
     def test_non_finite_stackup_400(self, client):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from repro.bench_suite import random_design
 from repro.channels import ChannelProblem, GreedyChannelRouter
-from repro.core import LevelBConfig, LevelBRouter
+from repro.core import LevelBRouter
 from repro.core.search import MBFSearch
 from repro.flow import overcell_flow
 from repro.geometry import Rect
@@ -110,7 +110,7 @@ def _golden_result():
     return LevelBRouter(
         Rect(0, 0, 256, 256),
         list(design.nets.values()),
-        config=LevelBConfig(planes=2),
+        planes=2,
     ).route()
 
 
