@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import instrument
 from repro.instrument.names import (
     MBFS_ABORTS,
@@ -37,14 +39,15 @@ from repro.instrument.names import (
     SPAN_MBFS_SEARCH,
 )
 from repro.geometry import Interval, Point
-from repro.grid import RoutingGrid
+from repro.grid import RoutingGrid, UsableRuns
 from repro.core.tig import GridTerminal
 
 VERTICAL = "V"
 HORIZONTAL = "H"
+_OTHER = {VERTICAL: HORIZONTAL, HORIZONTAL: VERTICAL}
 
 
-@dataclass
+@dataclass(slots=True)
 class PSTNode:
     """One node of a Path Selection Tree: a visit to a track.
 
@@ -60,9 +63,8 @@ class PSTNode:
         vertical node and ``(entry, track)`` for a horizontal one).
     span:
         The maximal usable index interval along this track around the
-        entry point - how far the wire can slide.  Computed lazily
-        (``None`` until the node is expanded or tested for completion);
-        most frontier-leaf nodes never need it.
+        entry point - how far the wire can slide.  Set when the node is
+        created.
     parent:
         The previous track visit (``None`` at a root).
     depth:
@@ -126,6 +128,62 @@ class SearchResult:
     @property
     def found(self) -> bool:
         return self.min_corners is not None
+
+
+class _Tracks:
+    """One kind of track inside a search window, in window-local indices.
+
+    Track ``t`` is grid track ``offset + t``; position ``p`` along it is
+    the window index of the crossing track of the other kind.
+    ``corner[t, p]`` says a node on ``t`` may turn at ``p``; ``runs``
+    holds where the net's wire on ``t`` may pass.  ``goal`` is the
+    target's ``(track, position)``.
+    """
+
+    __slots__ = ("offset", "goal", "corner", "runs")
+
+    def __init__(
+        self, offset: int, goal: tuple[int, int], usable: np.ndarray, corner: np.ndarray
+    ) -> None:
+        self.offset = offset
+        self.goal = goal
+        self.corner = corner
+        self.runs = UsableRuns(usable)
+
+
+#: Most (parent, crossing) pairs one pass over a level materialises;
+#: bounds the search's working memory on wide windows.
+_PAIRS_PER_PASS = 1 << 14
+
+
+def _slices(lens: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Consecutive ``[a, b)`` index ranges of about ``limit`` total length."""
+    ends = np.cumsum(lens)
+    if not ends.size or ends[-1] <= limit:
+        return [(0, lens.size)]
+    cuts = (np.flatnonzero(np.diff(ends // limit)) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, lens.size]))
+
+
+def _pairs(
+    corner: np.ndarray,
+    f_track: np.ndarray,
+    f_entry: np.ndarray,
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``(node, crossing)`` pair of some frontier nodes, in that order.
+
+    A crossing is a position in the node's span, other than its entry,
+    where ``corner`` allows a turn.  Returns node indices and crossing
+    positions as parallel arrays, ascending positions within a node.
+    """
+    lens = f_hi - f_lo + 1
+    parent = np.repeat(np.arange(lens.size), lens)
+    cross = np.arange(parent.size) + np.repeat(f_lo - (np.cumsum(lens) - lens), lens)
+    ok = corner[f_track[parent], cross]
+    ok &= cross != f_entry[parent]
+    return parent[ok], cross[ok]
 
 
 class MBFSearch:
@@ -192,17 +250,28 @@ class MBFSearch:
     def run(self) -> SearchResult:
         """Run both searches and keep the global minimum-corner leaves.
 
-        Search effort is tallied locally (``self._nodes_created``) and
-        reported to the instrumentation collector in one batch here, so
-        the per-node expansion loop carries no observability cost.
+        The region's usability is read from the grid once, here, and
+        both searches work on that window.  Search effort is tallied
+        locally (``self._nodes_created``) and reported to the
+        instrumentation collector in one batch, so the level loop
+        carries no observability cost.
         """
         roots: list[PSTNode] = []
         all_leaves: list[tuple[int, list[PSTNode]]] = []
         best_depth: int | None = None
         with instrument.span(SPAN_MBFS_SEARCH):
+            v_lo, h_lo = self.v_region.lo, self.h_region.lo
+            h_ok, v_ok, corner_ok = self.grid.usable_window(
+                self.net_id, self.v_region, self.h_region
+            )
+            tv, th = self.target.v_idx - v_lo, self.target.h_idx - h_lo
+            window = {
+                VERTICAL: _Tracks(v_lo, (tv, th), v_ok.T, corner_ok.T),
+                HORIZONTAL: _Tracks(h_lo, (th, tv), h_ok, corner_ok),
+            }
             for kind in (VERTICAL, HORIZONTAL):
                 limit = self.max_depth if best_depth is None else best_depth
-                root, leaves, depth = self._single_search(kind, limit)
+                root, leaves, depth = self._single_search(window, kind, limit)
                 if root is not None:
                     roots.append(root)
                 if depth is not None:
@@ -231,131 +300,154 @@ class MBFSearch:
 
     # ------------------------------------------------------------------
     def _single_search(
-        self, root_kind: str, depth_limit: int
+        self, window: dict[str, _Tracks], root_kind: str, depth_limit: int
     ) -> tuple[PSTNode | None, list[PSTNode], int | None]:
-        """One MBFS from one of the source's two tracks."""
-        if root_kind == VERTICAL:
+        """One MBFS from one of the source's two tracks, a level at a time.
+
+        Each level turns every frontier node onto every usable crossing
+        of its span at once.  A crossing track other than the target's
+        is entered only at the first level that reaches it, by at most
+        ``max_entries_per_track`` nodes: the first ones in (parent,
+        crossing) order, which is the order a node-at-a-time expansion
+        creates them in, so a stable rank per track reproduces it.
+        """
+        kind, other = root_kind, _OTHER[root_kind]
+        here = window[kind]
+        if kind == VERTICAL:
             track, entry = self.source.v_idx, self.source.h_idx
         else:
             track, entry = self.source.h_idx, self.source.v_idx
-        root = PSTNode(
-            kind=root_kind, track=track, entry=entry, span=None, parent=None, depth=0
-        )
-        if self._node_span(root) is None:
+        span_off = window[other].offset
+        # Frontier arrays, window-local: track, entry position, span.
+        f_track = np.array([track - here.offset])
+        f_entry = np.array([entry - span_off])
+        if not here.runs.usable[f_track[0], f_entry[0]]:
             return None, [], None
+        f_lo, f_hi = here.runs.around(f_track, f_entry)
+        root = PSTNode(
+            kind=kind,
+            track=track,
+            entry=entry,
+            span=Interval(int(f_lo[0]) + span_off, int(f_hi[0]) + span_off),
+            parent=None,
+            depth=0,
+        )
         self._nodes_created += 1
-        # visited[(kind, track)] -> level at which the track was first
-        # reached; target tracks are exempt and never recorded.
-        visited: dict[tuple[str, int], int] = {(root_kind, track): 0}
-        if self._completes(root):
+        # visited[kind][t]: level at which window track t was first
+        # reached (-1: never); target tracks are exempt and not recorded.
+        visited = {k: np.full(window[k].corner.shape[0], -1) for k in window}
+        visited[kind][f_track[0]] = 0
+        goal_track, goal_pos = here.goal
+        if f_track[0] == goal_track and f_lo[0] <= goal_pos <= f_hi[0]:
             return root, [root], 0
-        frontier = [root]
+        frontier: list[PSTNode] = [root]
         level = 0
         while frontier and level < depth_limit:
             level += 1
-            next_frontier: list[PSTNode] = []
-            completions: list[PSTNode] = []
-            entries_this_level: dict[tuple[str, int], int] = {}
-            for node in frontier:
-                children = self._expand(node, visited, entries_this_level, level)
-                if children is None:  # node budget exhausted
-                    self._aborted = True
-                    return root, [], None
-                for child in children:
-                    if self._is_target_track(
-                        child.kind, child.track
-                    ) and self._completes(child):
-                        completions.append(child)
-                    next_frontier.append(child)
-            if completions:
-                return root, completions, level
-            frontier = next_frontier
+            kind, other = other, kind
+            # The level's (parent, crossing) pairs, in that order, a
+            # bounded slice of the frontier at a time; only the kept
+            # ones are gathered.
+            seen, (goal_track, goal_pos) = visited[kind], window[kind].goal
+            entered = np.zeros(seen.size, dtype=np.int64)
+            kept = []
+            for a, b in _slices(f_hi - f_lo + 1, _PAIRS_PER_PASS):
+                parent, cross = _pairs(
+                    window[other].corner, f_track[a:b], f_entry[a:b], f_lo[a:b], f_hi[a:b]
+                )
+                keep = self._admit(cross, goal_track, seen, entered, level)
+                kept.append((parent[keep] + a, cross[keep]))
+            parent = np.concatenate([p for p, _ in kept])
+            cross = np.concatenate([c for _, c in kept])
+            if parent.size and self._nodes_created + parent.size > self.max_nodes:
+                # A node-at-a-time expansion stops at the child that
+                # first exceeds the budget; build exactly that prefix.
+                made = max(self._nodes_created, self.max_nodes) + 1 - self._nodes_created
+                parent, cross = parent[:made], cross[:made]
+                self._aborted = True
+            entry_pos = f_track[parent]
+            lo, hi = window[kind].runs.around(cross, entry_pos)
+            children = self._make_children(window, kind, level, frontier, parent, cross, lo, hi)
+            self._nodes_created += len(children)
+            if self._aborted:
+                return root, [], None
+            done = np.flatnonzero((cross == goal_track) & (lo <= goal_pos) & (goal_pos <= hi))
+            if done.size:
+                return root, [children[i] for i in done.tolist()], level
+            frontier = children
+            f_track, f_entry, f_lo, f_hi = cross, entry_pos, lo, hi
         return root, [], None
 
-    def _node_span(self, node: PSTNode) -> Interval | None:
-        """The node's slide interval, computed on first use."""
-        if node.span is None:
-            if node.kind == VERTICAL:
-                node.span = self.grid.free_span_v(
-                    node.track, node.entry, self.net_id, within=self.h_region
-                )
-            else:
-                node.span = self.grid.free_span_h(
-                    node.track, node.entry, self.net_id, within=self.v_region
-                )
-        return node.span
-
-    def _expand(
+    def _admit(
         self,
-        node: PSTNode,
-        visited: dict[tuple[str, int], int],
-        entries_this_level: dict[tuple[str, int], int],
+        cross: np.ndarray,
+        goal_track: int,
+        seen: np.ndarray,
+        entered: np.ndarray,
         level: int,
-    ) -> list[PSTNode] | None:
-        """Children of ``node``: turns onto crossing tracks in its span.
+    ) -> np.ndarray:
+        """Which crossings become children; updates ``seen`` and ``entered``.
 
-        Corner availability along the whole span is checked in one
-        vectorised pass; children are created without spans (lazy).
+        The target track is always entered.  Any other track only when
+        no earlier level reached it, and by its first
+        ``max_entries_per_track`` crossings in level order;
+        ``entered`` counts this level's entries per track so far.
         """
-        grid = self.grid
-        net = self.net_id
-        span = self._node_span(node)
-        if span is None:  # entry cell got unusable - cannot happen mid-search
+        on_goal = cross == goal_track
+        mark = seen[cross]
+        keep = on_goal | (mark < 0) | (mark == level)
+        capped = np.flatnonzero(keep & ~on_goal)
+        if capped.size:
+            # A stable sort of small unsigned ints is a radix sort.
+            tracks = cross[capped]
+            order = np.argsort(tracks.astype(np.min_scalar_type(seen.size)), kind="stable")
+            tracks = tracks[order]
+            first = np.ones(tracks.size, dtype=bool)
+            first[1:] = tracks[1:] != tracks[:-1]
+            at = np.arange(tracks.size)
+            rank = at - np.maximum.accumulate(np.where(first, at, 0)) + entered[tracks]
+            admitted = rank < self.max_entries_per_track
+            keep[capped[order[~admitted]]] = False
+            tracks = tracks[admitted]
+            seen[tracks] = level
+            entered += np.bincount(tracks, minlength=entered.size)
+        return keep
+
+    @staticmethod
+    def _make_children(
+        window: dict[str, _Tracks],
+        kind: str,
+        depth: int,
+        frontier: list[PSTNode],
+        parent: np.ndarray,
+        track: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+    ) -> list[PSTNode]:
+        """PST nodes for window-local ``(parent, track, span)`` rows, in order.
+
+        Each child enters its track at its parent's track and is
+        appended to the parent's children.
+        """
+        if not parent.size:
             return []
-        child_kind = HORIZONTAL if node.kind == VERTICAL else VERTICAL
-        if node.kind == VERTICAL:
-            crossings = grid.corner_candidates_on_v(
-                node.track, span.lo, span.hi, net
-            )
-        else:
-            crossings = grid.corner_candidates_on_h(
-                node.track, span.lo, span.hi, net
-            )
+        track_off = window[kind].offset
+        span_off = window[_OTHER[kind]].offset
+        # Children on one track run share a span: build each Interval once.
+        stride = int(hi.max()) + 1
+        keys, which = np.unique(lo * stride + hi, return_inverse=True)
+        spans = [
+            Interval(a + span_off, b + span_off)
+            for a, b in zip((keys // stride).tolist(), (keys % stride).tolist())
+        ]
         children: list[PSTNode] = []
-        for cross in crossings:
-            if cross == node.entry:
-                continue
-            key = (child_kind, cross)
-            is_target = self._is_target_track(child_kind, cross)
-            if not is_target:
-                seen_level = visited.get(key)
-                if seen_level is not None and seen_level < level:
-                    continue
-                if entries_this_level.get(key, 0) >= self.max_entries_per_track:
-                    continue
-                visited.setdefault(key, level)
-                entries_this_level[key] = entries_this_level.get(key, 0) + 1
-            child = PSTNode(
-                kind=child_kind,
-                track=cross,
-                entry=node.track,
-                span=None,
-                parent=node,
-                depth=node.depth + 1,
-            )
+        append = children.append
+        for p, t, j in zip(parent.tolist(), (track + track_off).tolist(), which.tolist()):
+            node = frontier[p]
+            child = PSTNode(kind, t, node.track, spans[j], node, depth, [])
             node.children.append(child)
-            self._nodes_created += 1
-            if self._nodes_created > self.max_nodes:
-                return None
-            children.append(child)
+            append(child)
         return children
-
-    def _is_target_track(self, kind: str, track: int) -> bool:
-        if kind == VERTICAL:
-            return track == self.target.v_idx
-        return track == self.target.h_idx
-
-    def _completes(self, node: PSTNode) -> bool:
-        """Can the path slide along ``node``'s track onto the terminal?"""
-        if node.kind == VERTICAL:
-            if node.track != self.target.v_idx:
-                return False
-            span = self._node_span(node)
-            return span is not None and span.contains(self.target.h_idx)
-        if node.track != self.target.h_idx:
-            return False
-        span = self._node_span(node)
-        return span is not None and span.contains(self.target.v_idx)
 
 
 # ----------------------------------------------------------------------

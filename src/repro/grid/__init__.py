@@ -16,6 +16,10 @@ package provides:
     The transactional state layer: a journal of undo records covering
     every grid mutation, giving rollback and per-net rip-up in
     O(cells touched), plus immutable snapshots for exactness checks.
+:class:`UsableRuns`
+    The maximal usable runs along the rows of a usability mask (from
+    :meth:`RoutingGrid.usable_window`), found for a batch of cells at
+    once: the slide spans of the level B search.
 :class:`WindowSnapshot`
     A rectangular sub-window copy of the grid state, the unit of work
     shipped to speculative routing workers (``repro.dispatch``).
@@ -46,6 +50,7 @@ from repro.grid.occupancy import (
     GridSnapshot,
     GridTransaction,
     RoutingGrid,
+    UsableRuns,
     WindowSnapshot,
 )
 from repro.grid.planes import PlaneSet, PlaneSetTransaction
@@ -60,6 +65,7 @@ __all__ = [
     "PlaneSet",
     "PlaneSetTransaction",
     "WindowSnapshot",
+    "UsableRuns",
     "OccupancyBackend",
     "DenseBackend",
     "SparseBackend",

@@ -234,7 +234,7 @@ class RoutingGrid:
         self._net_ledger: dict[int, list[tuple]] = {}
         # Per-net track footprints (span, guard) for wide net classes.
         # Only nets wider than the default single-track claim appear
-        # here, so `.get(net_id)` returning None IS the fast path.
+        # here; footprint_of() reads (1, 0) for every other net.
         self._footprints: dict[int, tuple[int, int]] = {}
         # Undo journal + open-transaction stack (savepoint semantics).
         self._journal: list[tuple] = []
@@ -306,9 +306,8 @@ class RoutingGrid:
         edges, where the routing region itself bounds the wiring.
 
         ``(1, 0)`` is the single-track signal footprint and is not
-        stored: the occupy primitives expand it to the base track
-        alone, and the per-node queries the searches call take their
-        signal fast path for every net absent from this table.
+        stored: the occupy primitives and :meth:`usable_window` expand
+        it to the base track alone.
         """
         if span < 1 or guard < 0:
             raise ValueError("footprint needs span >= 1 and guard >= 0")
@@ -675,18 +674,8 @@ class RoutingGrid:
     def corner_free(self, v_idx: int, h_idx: int, net_id: int) -> bool:
         """Can ``net_id`` place a corner/via at this intersection?"""
         self._check_indices(v_idx, h_idx)
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            h = self._h_owner[h_idx, v_idx]
-            v = self._v_owner[v_idx, h_idx]
-            return h in (FREE, net_id) and v in (FREE, net_id)
-        for v in self._expand_rows(v_idx, fp, self.num_vtracks):
-            for h in self._expand_rows(h_idx, fp, self.num_htracks):
-                if self._h_owner[h, v] not in (FREE, net_id) or (
-                    self._v_owner[v, h] not in (FREE, net_id)
-                ):
-                    return False
-        return True
+        cell = self.usable_window(net_id, Interval(v_idx, v_idx), Interval(h_idx, h_idx))
+        return bool(cell[2][0, 0])
 
     def h_slot(self, v_idx: int, h_idx: int) -> int:
         self._check_indices(v_idx, h_idx)
@@ -696,148 +685,104 @@ class RoutingGrid:
         self._check_indices(v_idx, h_idx)
         return int(self._v_owner[v_idx, h_idx])
 
+    def usable_window(
+        self, net_id: int, v_iv: Interval, h_iv: Interval
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where ``net_id`` may wire or corner inside one index window.
+
+        Returns ``(h_ok, v_ok, corner_ok)``, boolean arrays indexed
+        ``[h - h_iv.lo, v - v_iv.lo]``: ``h_ok`` marks cells a
+        horizontal wire of the net may pass, ``v_ok`` cells a vertical
+        wire may pass, and ``corner_ok`` cells that accept its corner
+        via.  A slot is usable when it is free or already the net's
+        own.  Each mask cell is the AND over the block the net's claim
+        there would cover (:meth:`_expand_rows`): the footprint rows of
+        its wire direction for ``h_ok`` / ``v_ok``, the whole
+        rows-by-columns block of both slots for ``corner_ok``.  A signal
+        net's block is the cell itself.
+
+        The owner arrays are read once, over the window padded by the
+        net's footprint reach and clamped at the grid edges; cells past
+        an edge count as usable, exactly as the clamped block skips
+        them.  The window itself must lie inside the grid.
+        """
+        nv, nh = self.num_vtracks, self.num_htracks
+        if not (0 <= v_iv.lo and v_iv.hi < nv and 0 <= h_iv.lo and h_iv.hi < nh):
+            raise IndexError(
+                f"window {v_iv} x {h_iv} outside the {nv}x{nh} track grid"
+            )
+        span, guard = self.footprint_of(net_id)
+        block = span + 2 * guard
+        # Padded bounds before clamping: row b's block is b - guard ..
+        # b + span - 1 + guard, so the pad is guard below and
+        # block - 1 - guard above.
+        v0, v1 = v_iv.lo - guard, v_iv.hi + block - 1 - guard
+        h0, h1 = h_iv.lo - guard, h_iv.hi + block - 1 - guard
+        cv0, cv1 = max(0, v0), min(nv - 1, v1)
+        ch0, ch1 = max(0, h0), min(nh - 1, h1)
+        hs, vs = slice(ch0, ch1 + 1), slice(cv0, cv1 + 1)
+        inner = (slice(ch0 - h0, ch1 - h0 + 1), slice(cv0 - v0, cv1 - v0 + 1))
+        shape = (h1 - h0 + 1, v1 - v0 + 1)
+        h_free = np.ones(shape, dtype=bool)
+        v_free = np.ones(shape, dtype=bool)
+        owners = np.asarray(self._h_owner[hs, vs])
+        h_free[inner] = (owners == FREE) | (owners == net_id)
+        owners = np.asarray(self._v_owner[vs, hs])
+        v_free[inner] = ((owners == FREE) | (owners == net_id)).T
+        cols = slice(guard, guard + v_iv.count)
+        rows = slice(guard, guard + h_iv.count)
+        h_ok = _block_and(h_free, block, axis=0)[:, cols]
+        v_ok = _block_and(v_free, block, axis=1)[rows, :]
+        both = h_free & v_free
+        corner_ok = _block_and(_block_and(both, block, axis=0), block, axis=1)
+        return h_ok, v_ok, corner_ok
+
     def free_span_h(
         self, h_idx: int, v_idx: int, net_id: int, within: Interval | None = None
     ) -> Interval | None:
         """Maximal v-index interval around ``v_idx`` usable on h-track.
 
-        A cell is usable when its horizontal slot is free or already
-        owned by ``net_id``.  Returns ``None`` when the entry cell
+        A cell is usable when the net's horizontal wire may pass it
+        (:meth:`usable_window`).  Returns ``None`` when the entry cell
         itself is unusable.  ``within`` clips the search window (the
         paper bounds each search to a rectangle around the terminals) —
         and is applied *before* the store is read, so a bounded search
         on a sparse backend never materialises a full track row.
         """
-        lo = 0 if within is None else max(0, within.lo)
-        hi = (
-            self.num_vtracks - 1
-            if within is None
-            else min(self.num_vtracks - 1, within.hi)
-        )
+        lo, hi = self._clip(within, self.num_vtracks)
         if not lo <= v_idx <= hi:
             return None
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            win = self._h_owner[h_idx, lo : hi + 1]
-            return _free_span(win, v_idx - lo, net_id, lo)
-        usable = self._usable_mask_h(h_idx, lo, hi, net_id, fp)
-        return _free_span_mask(usable, v_idx - lo, lo)
+        h_ok = self.usable_window(net_id, Interval(lo, hi), Interval(h_idx, h_idx))[0]
+        return _run_around(h_ok[0], v_idx - lo, lo)
 
     def free_span_v(
         self, v_idx: int, h_idx: int, net_id: int, within: Interval | None = None
     ) -> Interval | None:
         """Maximal h-index interval around ``h_idx`` usable on v-track."""
-        lo = 0 if within is None else max(0, within.lo)
-        hi = (
-            self.num_htracks - 1
-            if within is None
-            else min(self.num_htracks - 1, within.hi)
-        )
+        lo, hi = self._clip(within, self.num_htracks)
         if not lo <= h_idx <= hi:
             return None
-        fp = self._footprints.get(net_id)
-        if fp is None:
-            win = self._v_owner[v_idx, lo : hi + 1]
-            return _free_span(win, h_idx - lo, net_id, lo)
-        usable = self._usable_mask_v(v_idx, lo, hi, net_id, fp)
-        return _free_span_mask(usable, h_idx - lo, lo)
+        v_ok = self.usable_window(net_id, Interval(v_idx, v_idx), Interval(lo, hi))[1]
+        return _run_around(v_ok[:, 0], h_idx - lo, lo)
 
-    def _usable_mask_h(
-        self, h_idx: int, lo: int, hi: int, net_id: int, fp: tuple[int, int]
-    ) -> list[bool]:
-        """Per-cell usability of an h-track window for a wide net.
-
-        A cell is usable when the *whole footprint* anchored at
-        ``h_idx`` — metal rows plus guard rows — is free (or the net's
-        own) at that v-position, i.e. the AND across the expanded rows.
-        """
-        mask: np.ndarray | None = None
-        for row in self._expand_rows(h_idx, fp, self.num_htracks):
-            win = np.asarray(self._h_owner[row, lo : hi + 1])
-            ok = (win == FREE) | (win == net_id)
-            mask = ok if mask is None else (mask & ok)
-        assert mask is not None
-        return mask.tolist()
-
-    def _usable_mask_v(
-        self, v_idx: int, lo: int, hi: int, net_id: int, fp: tuple[int, int]
-    ) -> list[bool]:
-        mask: np.ndarray | None = None
-        for row in self._expand_rows(v_idx, fp, self.num_vtracks):
-            win = np.asarray(self._v_owner[row, lo : hi + 1])
-            ok = (win == FREE) | (win == net_id)
-            mask = ok if mask is None else (mask & ok)
-        assert mask is not None
-        return mask.tolist()
-
-    def corner_candidates_on_v(
-        self, v_idx: int, h_lo: int, h_hi: int, net_id: int
-    ) -> list[int]:
-        """h-indices in ``[h_lo, h_hi]`` where ``net_id`` may corner.
-
-        Batched form of :meth:`corner_free` along a vertical track -
-        the level B search's hot path.  Spans here are typically a few
-        dozen cells, where a plain-Python scan over ``tolist()`` beats
-        numpy's fixed per-op overhead by several times.
-        """
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return [
-                h_idx
-                for h_idx in range(h_lo, h_hi + 1)
-                if self.corner_free(v_idx, h_idx, net_id)
-            ]
-        h = self._h_owner[h_lo : h_hi + 1, v_idx].tolist()
-        v = self._v_owner[v_idx, h_lo : h_hi + 1].tolist()
-        allowed = (FREE, net_id)
-        return [
-            h_lo + i
-            for i, (hs, vs) in enumerate(zip(h, v))
-            if hs in allowed and vs in allowed
-        ]
-
-    def corner_candidates_on_h(
-        self, h_idx: int, v_lo: int, v_hi: int, net_id: int
-    ) -> list[int]:
-        """v-indices in ``[v_lo, v_hi]`` where ``net_id`` may corner."""
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return [
-                v_idx
-                for v_idx in range(v_lo, v_hi + 1)
-                if self.corner_free(v_idx, h_idx, net_id)
-            ]
-        h = self._h_owner[h_idx, v_lo : v_hi + 1].tolist()
-        v = self._v_owner[v_lo : v_hi + 1, h_idx].tolist()
-        allowed = (FREE, net_id)
-        return [
-            v_lo + i
-            for i, (hs, vs) in enumerate(zip(h, v))
-            if hs in allowed and vs in allowed
-        ]
+    @staticmethod
+    def _clip(within: Interval | None, n: int) -> tuple[int, int]:
+        if within is None:
+            return 0, n - 1
+        return max(0, within.lo), min(n - 1, within.hi)
 
     def span_usable_h(
         self, h_idx: int, v_lo: int, v_hi: int, net_id: int
     ) -> bool:
         """Is the whole h-track span ``[v_lo, v_hi]`` usable by the net?"""
-        if v_lo > v_hi:
-            v_lo, v_hi = v_hi, v_lo
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return all(self._usable_mask_h(h_idx, v_lo, v_hi, net_id, fp))
-        row = self._h_owner[h_idx, v_lo : v_hi + 1]
-        return bool(((row == FREE) | (row == net_id)).all())
+        window = Interval.spanning(v_lo, v_hi)
+        return bool(self.usable_window(net_id, window, Interval(h_idx, h_idx))[0].all())
 
     def span_usable_v(
         self, v_idx: int, h_lo: int, h_hi: int, net_id: int
     ) -> bool:
-        if h_lo > h_hi:
-            h_lo, h_hi = h_hi, h_lo
-        fp = self._footprints.get(net_id)
-        if fp is not None:
-            return all(self._usable_mask_v(v_idx, h_lo, h_hi, net_id, fp))
-        row = self._v_owner[v_idx, h_lo : h_hi + 1]
-        return bool(((row == FREE) | (row == net_id)).all())
+        window = Interval.spanning(h_lo, h_hi)
+        return bool(self.usable_window(net_id, Interval(v_idx, v_idx), window)[1].all())
 
     # ------------------------------------------------------------------
     # Mutation (the O(t)-per-segment update of section 3.4)
@@ -1102,46 +1047,57 @@ class RoutingGrid:
         )
 
 
-def _free_span(
-    window: np.ndarray, pos: int, net_id: int, offset: int
-) -> Interval | None:
-    """Maximal usable index interval around position ``pos`` of a
-    pre-clipped slot window starting at global index ``offset``.
+def _block_and(mask: np.ndarray, block: int, axis: int) -> np.ndarray:
+    """AND of ``block`` consecutive entries along ``axis``.
 
-    Implemented as an outward scan over ``tolist()``: search windows
-    are small (a terminal bounding box plus margin), so this beats
-    numpy's per-op overhead on the hot path.
+    Entry ``i`` of the result covers ``mask`` entries ``i .. i + block
+    - 1``, so the result is ``block - 1`` shorter along ``axis``; a
+    block of 1 returns ``mask`` itself.
     """
-    win = window.tolist()
-    allowed = (FREE, net_id)
-    if win[pos] not in allowed:
-        return None
-    lo = pos
-    while lo > 0 and win[lo - 1] in allowed:
-        lo -= 1
-    hi = pos
-    last = len(win) - 1
-    while hi < last and win[hi + 1] in allowed:
-        hi += 1
-    return Interval(lo + offset, hi + offset)
+    n = mask.shape[axis] - block + 1
+    window = [slice(None), slice(None)]
+    window[axis] = slice(0, n)
+    out = mask[tuple(window)]
+    for d in range(1, block):
+        window[axis] = slice(d, d + n)
+        out = out & mask[tuple(window)]
+    return out
 
 
-def _free_span_mask(
-    usable: list[bool], pos: int, offset: int
-) -> Interval | None:
-    """:func:`_free_span` over a precomputed per-cell usability mask.
+def _run_around(usable: np.ndarray, pos: int, offset: int) -> Interval | None:
+    """The run of usable cells containing position ``pos``, or ``None``.
 
-    The footprint-aware variant: the caller ANDs usability across the
-    net's expanded rows, this scans outward from ``pos`` exactly like
-    the single-row case.
+    ``usable`` is one track's mask starting at global index ``offset``.
     """
     if not usable[pos]:
         return None
-    lo = pos
-    while lo > 0 and usable[lo - 1]:
-        lo -= 1
-    hi = pos
-    last = len(usable) - 1
-    while hi < last and usable[hi + 1]:
-        hi += 1
-    return Interval(lo + offset, hi + offset)
+    lo, hi = UsableRuns(usable[np.newaxis]).around(np.zeros(1, dtype=np.intp), np.array([pos]))
+    return Interval(int(lo[0]) + offset, int(hi[0]) + offset)
+
+
+class UsableRuns:
+    """The maximal runs of usable cells along each row of a boolean mask.
+
+    ``usable[r, p]`` says whether a wire on row ``r`` may pass position
+    ``p``.  The unusable cells, plus a sentinel at each end of every
+    row, are kept as one sorted array of flat indices, so the run
+    around any batch of usable cells is one ``searchsorted``.
+    """
+
+    __slots__ = ("usable", "_stride", "_blocked")
+
+    def __init__(self, usable: np.ndarray) -> None:
+        rows, positions = usable.shape
+        framed = np.zeros((rows, positions + 2), dtype=bool)
+        framed[:, 1:-1] = usable
+        self.usable = usable
+        self._stride = positions + 2
+        self._blocked = np.flatnonzero(~framed)
+
+    def around(
+        self, rows: np.ndarray, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` of the run holding each usable ``(row, position)``."""
+        base = rows * self._stride
+        k = np.searchsorted(self._blocked, base + positions + 1)
+        return self._blocked[k - 1] - base, self._blocked[k] - base - 2

@@ -84,36 +84,20 @@ def lee_search(
         )
     xs, ys = grid.vtracks.coords, grid.htracks.coords
 
-    # Footprinted (wide) nets claim their expanded block at every cell
-    # and corner, so the wave must probe the same expansion the commit
-    # will make; single-track nets keep the raw-slot fast path.
-    if grid.footprint_of(net_id) != (1, 0):
-
-        def h_ok(v: int, h: int) -> bool:
-            return grid.span_usable_h(h, v, v, net_id)
-
-        def v_ok(v: int, h: int) -> bool:
-            return grid.span_usable_v(v, h, h, net_id)
-
-        def corner_ok(v: int, h: int) -> bool:
-            return grid.corner_free(v, h, net_id)
-
-    else:
-
-        def h_ok(v: int, h: int) -> bool:
-            return grid.h_slot(v, h) in (0, net_id)
-
-        def v_ok(v: int, h: int) -> bool:
-            return grid.v_slot(v, h) in (0, net_id)
-
-        def corner_ok(v: int, h: int) -> bool:
-            return h_ok(v, h) and v_ok(v, h)
+    # Usability over the region, read once, as row lists indexed
+    # [h - h0][v - v0].  A footprinted (wide) net claims its expanded
+    # block at every cell and corner, and the window's masks already
+    # probe the expansion the commit will make.
+    h_rows, v_rows, corner_rows = (
+        mask.tolist() for mask in grid.usable_window(net_id, v_iv, h_iv)
+    )
+    v0, v1, h0, h1 = v_iv.lo, v_iv.hi, h_iv.lo, h_iv.hi
 
     dist: dict[State, float] = {}
     parent: dict[State, State | None] = {}
     heap: list[tuple[float, State]] = []
-    for direction, ok in ((HORIZONTAL, h_ok), (VERTICAL, v_ok)):
-        if ok(source.v_idx, source.h_idx):
+    for direction, rows in ((HORIZONTAL, h_rows), (VERTICAL, v_rows)):
+        if rows[source.h_idx - h0][source.v_idx - v0]:
             state = (source.v_idx, source.h_idx, direction)
             dist[state] = 0.0
             parent[state] = None
@@ -132,17 +116,18 @@ def lee_search(
             break
         moves: list[tuple[State, float]] = []
         if direction == HORIZONTAL:
+            usable = h_rows[h - h0]
             for nv in (v - 1, v + 1):
-                if v_iv.contains(nv) and h_ok(nv, h):
+                if v0 <= nv <= v1 and usable[nv - v0]:
                     moves.append(((nv, h, HORIZONTAL), float(abs(xs[nv] - xs[v]))))
-            if corner_ok(v, h):
-                moves.append(((v, h, VERTICAL), via_penalty))
+            turn = VERTICAL
         else:
             for nh in (h - 1, h + 1):
-                if h_iv.contains(nh) and v_ok(v, nh):
+                if h0 <= nh <= h1 and v_rows[nh - h0][v - v0]:
                     moves.append(((v, nh, VERTICAL), float(abs(ys[nh] - ys[h]))))
-            if corner_ok(v, h):
-                moves.append(((v, h, HORIZONTAL), via_penalty))
+            turn = HORIZONTAL
+        if corner_rows[h - h0][v - v0]:
+            moves.append(((v, h, turn), via_penalty))
         for nstate, cost in moves:
             nd = d + cost
             if nd < dist.get(nstate, float("inf")):

@@ -116,10 +116,13 @@ def technology_from_stackup(data: dict[str, Any]) -> Technology:
     metals = data["metals"]
     if not isinstance(metals, list) or not metals:
         raise ValueError("'metals' must be a non-empty list")
+    for pos, metal in enumerate(metals):
+        if not isinstance(metal, dict):
+            raise ValueError(
+                f"metals[{pos}] must be a JSON object, got {type(metal).__name__}"
+            )
     layers = []
     for pos, metal in enumerate(sorted(metals, key=lambda m: m.get("index", 0))):
-        if not isinstance(metal, dict):
-            raise ValueError("each metal must be a JSON object")
         name = metal.get("name", f"metal{pos + 1}")
         index = metal.get("index", pos + 1)
         direction = metal.get("direction")
@@ -170,7 +173,11 @@ def _ingest_vias(
     if via_docs is not None:
         if not isinstance(via_docs, list):
             raise ValueError("'vias' must be a list")
-        for vd in via_docs:
+        for pos, vd in enumerate(via_docs):
+            if not isinstance(vd, dict):
+                raise ValueError(
+                    f"vias[{pos}] must be a JSON object, got {type(vd).__name__}"
+                )
             rule = ViaRule(
                 lower=vd["lower"],
                 upper=vd["upper"],

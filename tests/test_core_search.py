@@ -9,13 +9,17 @@ verifies minimum-corner optimality on randomized instances.
 
 import contextlib
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Interval, Point, Rect
-from repro.grid import TrackSet
+from repro.grid import RoutingGrid, TrackSet
+from repro.core import search as search_module
 from repro.core.search import MBFSearch, candidate_paths
-from repro.core.tig import TrackIntersectionGraph
+from repro.core.tig import GridTerminal, TrackIntersectionGraph
 from repro.maze.lee import lee_search
 
 from conftest import make_figure1_instance
@@ -262,3 +266,162 @@ class TestMinCornerOptimality:
             tig.grid.commit_path(net_id, cand.points, cand.corners)
         # Invariant: every slot owner is a registered net or FREE.
         assert set(tig.grid.owners()) <= set(terms)
+
+
+# ----------------------------------------------------------------------
+# The level-batched search against a node-at-a-time reference
+# ----------------------------------------------------------------------
+def reference_mbfs(grid, net_id, source, target, v_iv, h_iv, max_depth, max_nodes, cap):
+    """The MBFS rule one node at a time: ``(roots, leaves, min, created, aborted)``.
+
+    Nodes are ``[kind, track, entry, span, depth, children, parent]`` lists.
+    """
+    created, aborted = 0, False
+    goal = {"V": (target.v_idx, target.h_idx), "H": (target.h_idx, target.v_idx)}
+
+    def span_of(kind, track, entry):
+        if kind == "V":
+            return grid.free_span_v(track, entry, net_id, within=h_iv)
+        return grid.free_span_h(track, entry, net_id, within=v_iv)
+
+    def completes(node):
+        return node[1] == goal[node[0]][0] and node[3].contains(goal[node[0]][1])
+
+    def search(kind, limit):
+        nonlocal created, aborted
+        track, entry = (source.v_idx, source.h_idx) if kind == "V" else (source.h_idx, source.v_idx)
+        span = span_of(kind, track, entry)
+        if span is None:
+            return None, [], None
+        root = [kind, track, entry, span, 0, [], None]
+        created += 1
+        visited = {(kind, track): 0}
+        if completes(root):
+            return root, [root], 0
+        frontier, level = [root], 0
+        while frontier and level < limit:
+            level += 1
+            entries, nxt = {}, []
+            for node in frontier:
+                ckind = "H" if node[0] == "V" else "V"
+                for cross in range(node[3].lo, node[3].hi + 1):
+                    v, h = (node[1], cross) if node[0] == "V" else (cross, node[1])
+                    if cross == node[2] or not grid.corner_free(v, h, net_id):
+                        continue
+                    key = (ckind, cross)
+                    if cross != goal[ckind][0]:
+                        if visited.get(key, level) < level or entries.get(key, 0) >= cap:
+                            continue
+                        visited.setdefault(key, level)
+                        entries[key] = entries.get(key, 0) + 1
+                    child = [ckind, cross, node[1], span_of(ckind, cross, node[1]), level, [], node]
+                    node[5].append(child)
+                    nxt.append(child)
+                    created += 1
+                    if created > max_nodes:
+                        aborted = True
+                        return root, [], None
+            done = [c for c in nxt if completes(c)]
+            if done:
+                return root, done, level
+            frontier = nxt
+        return root, [], None
+
+    roots, found, best = [], [], None
+    for kind in ("V", "H"):
+        root, leaves, depth = search(kind, max_depth if best is None else best)
+        roots += [root] if root is not None else []
+        if depth is not None:
+            found.append((depth, leaves))
+            best = depth if best is None else min(best, depth)
+    leaves = [leaf for depth, group in found if depth == best for leaf in group]
+    return roots, leaves, best, created, aborted
+
+
+def pst_shape(node):
+    """``(kind, track, entry, span, depth, children)`` of a PST, recursively."""
+    if isinstance(node, list):
+        kind, track, entry, span, depth, children, _ = node
+    else:
+        kind, track, entry, span, depth, children = (
+            node.kind, node.track, node.entry, node.span, node.depth, node.children
+        )
+    return (kind, track, entry, (span.lo, span.hi), depth, [pst_shape(c) for c in children])
+
+
+def reference_sequence(node):
+    names = []
+    while node is not None:
+        names.append(f"{node[0].lower()}{node[1] + 1}")
+        node = node[6]
+    return names[::-1]
+
+
+@st.composite
+def search_cases(draw):
+    nv, nh = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    v = st.integers(0, nv - 1)
+    h = st.integers(0, nh - 1)
+    ops = []
+    for _ in range(draw(st.integers(0, 4))):
+        ops.append(("obstacle", draw(v), draw(h), draw(st.sampled_from([(1, 1), (1, 0), (0, 1)]))))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["h", "v"]))
+        track, (a, b) = (draw(h), sorted((draw(v), draw(v)))) if kind == "h" else (
+            draw(v), sorted((draw(h), draw(h))))
+        ops.append((kind, track, a, b, draw(st.sampled_from([1, 2, 3]))))
+    wide = draw(st.sampled_from([None, 1, 2]))  # which net gets span 2, guard 1
+    terminals = (draw(v), draw(h), draw(v), draw(h))
+    region = None
+    if draw(st.booleans()):
+        margin = draw(st.integers(0, 3))
+        sv, sh, tv, th = terminals
+        region = (
+            Interval(min(sv, tv) - margin, max(sv, tv) + margin),
+            Interval(min(sh, th) - margin, max(sh, th) + margin),
+        )
+    cap = draw(st.sampled_from([1, 2, 8]))
+    max_nodes = draw(st.sampled_from([1, 3, 8, 20, 60, 250_000]))
+    # Small values make one level take several passes over the frontier.
+    pairs_per_pass = draw(st.sampled_from([1, 5, search_module._PAIRS_PER_PASS]))
+    return nv, nh, ops, wide, terminals, region, cap, max_nodes, pairs_per_pass
+
+
+class TestBatchedMatchesNodeAtATime:
+    """The level-at-a-time search builds the same PSTs as the serial rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases())
+    def test_same_result_and_trees(self, case):
+        nv, nh, ops, wide, (sv, sh, tv, th), region, cap, max_nodes, pairs_per_pass = case
+        for backend in ("dense", "sparse"):
+            grid = RoutingGrid(
+                TrackSet(range(0, nv * 10, 10)), TrackSet(range(0, nh * 10, 10)), backend
+            )
+            if wide is not None:
+                grid.set_net_footprint(wide, 2, 1)
+            for op in ops:
+                with contextlib.suppress(ValueError):
+                    if op[0] == "obstacle":
+                        x, y = op[1] * 10, op[2] * 10
+                        grid.add_obstacle(Rect(x, y, x, y), block_h=bool(op[3][0]), block_v=bool(op[3][1]))
+                    elif op[0] == "h":
+                        grid.occupy_h(*op[1:])
+                    else:
+                        grid.occupy_v(*op[1:])
+            source, target = GridTerminal(sv, sh), GridTerminal(tv, th)
+            search = MBFSearch(
+                grid, 1, source, target, region=region,
+                max_nodes=max_nodes, max_entries_per_track=cap,
+            )
+            with mock.patch.object(search_module, "_PAIRS_PER_PASS", pairs_per_pass):
+                res = search.run()
+            roots, leaves, best, created, aborted = reference_mbfs(
+                grid, 1, source, target, search.v_region, search.h_region,
+                search.max_depth, max_nodes, cap,
+            )
+            assert (res.min_corners, res.aborted, res.nodes_created) == (best, aborted, created)
+            assert [pst_shape(r) for r in res.roots] == [pst_shape(r) for r in roots]
+            assert [leaf.track_sequence() for leaf in res.leaves] == [
+                reference_sequence(leaf) for leaf in leaves
+            ]

@@ -184,6 +184,67 @@ class TestFreeSpan:
                 assert span.hi + 1 in occupied
 
 
+class TestUsableWindow:
+    """``usable_window`` against per-cell reads of the footprint block."""
+
+    @staticmethod
+    def block(base, fp, n):
+        span, guard = fp
+        return range(max(0, base - guard), min(n - 1, base + span - 1 + guard) + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["dense", "sparse"]),
+        st.sampled_from([(1, 0), (2, 1), (1, 2), (3, 0)]),
+        st.lists(
+            st.tuples(
+                st.sampled_from("hvo"), st.integers(0, 8), st.integers(0, 8),
+                st.integers(0, 8), st.sampled_from([1, 2]),
+            ),
+            max_size=10,
+        ),
+        st.tuples(st.integers(0, 8), st.integers(0, 8)),
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    )
+    def test_masks_match_per_cell_reads(self, backend, fp, ops, vs, hs):
+        g = RoutingGrid(TrackSet(range(0, 90, 10)), TrackSet(range(0, 70, 10)), backend)
+        g.set_net_footprint(1, *fp)
+        for kind, track, a, b, net in ops:
+            lo, hi = min(a, b), max(a, b)
+            try:
+                if kind == "h":
+                    g.occupy_h(min(track, 6), lo, hi, net)
+                elif kind == "v":
+                    g.occupy_v(track, min(lo, 6), min(hi, 6), net)
+                else:
+                    g.add_obstacle(Rect(track * 10, min(a, 6) * 10, track * 10, min(a, 6) * 10),
+                                   block_h=net == 1, block_v=net == 2)
+            except ValueError:
+                pass
+        v_iv, h_iv = Interval(*sorted(vs)), Interval(*sorted(hs))
+        h_ok, v_ok, corner_ok = g.usable_window(1, v_iv, h_iv)
+        assert h_ok.shape == v_ok.shape == corner_ok.shape == (h_iv.count, v_iv.count)
+        for h in range(h_iv.lo, h_iv.hi + 1):
+            for v in range(v_iv.lo, v_iv.hi + 1):
+                cell = (h - h_iv.lo, v - v_iv.lo)
+                assert h_ok[cell] == all(
+                    g.h_slot(v, r) in (FREE, 1) for r in self.block(h, fp, 7)
+                )
+                assert v_ok[cell] == all(
+                    g.v_slot(r, h) in (FREE, 1) for r in self.block(v, fp, 9)
+                )
+                assert corner_ok[cell] == all(
+                    g.h_slot(c, r) in (FREE, 1) and g.v_slot(c, r) in (FREE, 1)
+                    for c in self.block(v, fp, 9)
+                    for r in self.block(h, fp, 7)
+                )
+
+    def test_window_outside_grid_rejected(self):
+        g = make_grid(5, 5)
+        with pytest.raises(IndexError):
+            g.usable_window(1, Interval(0, 5), Interval(0, 4))
+
+
 class TestStatistics:
     def test_densities(self):
         g = make_grid(5, 5)

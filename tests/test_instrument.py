@@ -145,6 +145,20 @@ class TestRouterCounters:
         assert col.counters[names.OCC_CELLS_TOUCHED] > 0
         assert [e["event"] for e in col.events] == [names.EVT_NET_ROUTED]
 
+    def test_ami33_search_work_is_pinned(self):
+        """The overcell flow's MBFS work on ami33, exactly.
+
+        Digests can survive a search change that explores differently;
+        these counts cannot.
+        """
+        from repro.bench_suite import ami33_like
+        from repro.flow import overcell_flow
+
+        with instrument.collecting() as col:
+            overcell_flow(ami33_like())
+        assert col.counters[names.MBFS_SEARCHES] == 176
+        assert col.counters[names.MBFS_NODES_EXPANDED] == 107749
+
     def test_toy_design_counter_matches_router_accounting(self):
         design = make_toy_design()
         with instrument.collecting() as col:

@@ -42,10 +42,24 @@ class TestLeeSearch:
         tig = make_tig()
         a, b = tig.register_net(1, [Point(0, 30), Point(70, 30)])
         tig.add_obstacle(Rect(30, 0, 40, 60))  # wall with a gap at top
-        waypoints, corners, _ = lee_search(tig.grid, 1, a, b)
+        waypoints, corners, stats = lee_search(tig.grid, 1, a, b)
         assert waypoints is not None
         length = sum(p.manhattan_to(q) for p, q in zip(waypoints, waypoints[1:]))
         assert length > 70  # forced detour
+        # The wave's exact effort: a change in what it explores shows
+        # here even when the path survives.
+        assert (stats.nodes_expanded, stats.nodes_pushed) == (84, 90)
+
+    def test_wide_net_effort_pinned(self):
+        """A span-2, guard-1 net probes its whole block at every cell."""
+        tig = make_tig(10)
+        tig.grid.set_net_footprint(1, 2, 1)
+        a, b = tig.register_net(1, [Point(0, 10), Point(90, 60)])
+        tig.grid.occupy_h(3, 4, 8, net_id=5)  # inside the guard of row 1
+        waypoints, corners, stats = lee_search(tig.grid, 1, a, b)
+        assert waypoints == [Point(0, 10), Point(0, 60), Point(90, 60)]
+        assert corners == [(0, 6)]
+        assert (stats.nodes_expanded, stats.nodes_pushed) == (159, 167)
 
     def test_unroutable_returns_none(self):
         tig = make_tig()

@@ -1,5 +1,6 @@
 """Edge-case tests for MBFS internals and router fallbacks."""
 
+import numpy as np
 
 from repro.geometry import Interval, Point, Rect
 from repro.grid import RoutingGrid, TrackSet
@@ -15,25 +16,43 @@ def fresh_tig(nv=8, nh=8):
     )
 
 
+def corner_hits_on_v(grid, v_idx, h_lo, h_hi, net_id):
+    """h-indices in ``[h_lo, h_hi]`` where ``net_id`` may corner on v-track."""
+    corner_ok = grid.usable_window(
+        net_id, Interval(v_idx, v_idx), Interval(h_lo, h_hi)
+    )[2]
+    return [h_lo + i for i in np.flatnonzero(corner_ok[:, 0]).tolist()]
+
+
+def corner_hits_on_h(grid, h_idx, v_lo, v_hi, net_id):
+    """v-indices in ``[v_lo, v_hi]`` where ``net_id`` may corner on h-track."""
+    corner_ok = grid.usable_window(
+        net_id, Interval(v_lo, v_hi), Interval(h_idx, h_idx)
+    )[2]
+    return [v_lo + i for i in np.flatnonzero(corner_ok[0]).tolist()]
+
+
 class TestCornerCandidates:
+    """The usable window's corner mask, read along one track."""
+
     def test_empty_grid_all_candidates(self):
         grid = RoutingGrid(TrackSet(range(0, 50, 10)), TrackSet(range(0, 50, 10)))
-        assert grid.corner_candidates_on_v(2, 0, 4, net_id=1) == [0, 1, 2, 3, 4]
-        assert grid.corner_candidates_on_h(2, 1, 3, net_id=1) == [1, 2, 3]
+        assert corner_hits_on_v(grid, 2, 0, 4, net_id=1) == [0, 1, 2, 3, 4]
+        assert corner_hits_on_h(grid, 2, 1, 3, net_id=1) == [1, 2, 3]
 
     def test_foreign_wire_excluded(self):
         grid = RoutingGrid(TrackSet(range(0, 50, 10)), TrackSet(range(0, 50, 10)))
         grid.occupy_h(2, 0, 4, net_id=9)  # h-track 2 fully foreign
         # Cornering on v-track 1 at h=2 needs both slots.
-        assert 2 not in grid.corner_candidates_on_v(1, 0, 4, net_id=1)
-        assert 2 in grid.corner_candidates_on_v(1, 0, 4, net_id=9)
+        assert 2 not in corner_hits_on_v(grid, 1, 0, 4, net_id=1)
+        assert 2 in corner_hits_on_v(grid, 1, 0, 4, net_id=9)
 
     def test_matches_scalar_corner_free(self):
         grid = RoutingGrid(TrackSet(range(0, 80, 10)), TrackSet(range(0, 80, 10)))
         grid.occupy_h(3, 1, 5, net_id=2)
         grid.occupy_v(4, 2, 6, net_id=3)
         for v in range(8):
-            batched = set(grid.corner_candidates_on_v(v, 0, 7, net_id=1))
+            batched = set(corner_hits_on_v(grid, v, 0, 7, net_id=1))
             scalar = {h for h in range(8) if grid.corner_free(v, h, 1)}
             assert batched == scalar
 

@@ -379,6 +379,16 @@ class TestServerEndpoints:
             client.submit(toy_spec(technology=stackup))
         assert exc.value.status == 400
 
+    def test_non_object_metal_400(self, client):
+        stackup = json.loads(
+            (Path(__file__).parent / "golden" / "stackup_wide.json").read_text()
+        )
+        stackup["metals"][1] = "x"
+        with pytest.raises(ServeError) as exc:
+            client.submit(toy_spec(technology=stackup))
+        assert exc.value.status == 400
+        assert "metals[1]" in str(exc.value)
+
     def test_submit_wait_result(self, client):
         record = client.submit(toy_spec(seed=100))
         assert record["_status"] == 202

@@ -140,6 +140,18 @@ class TestIngest:
         with pytest.raises(ValueError, match="metal3 pitch must be finite"):
             technology_from_stackup(doc)
 
+    @pytest.mark.parametrize("value", ["x", None, []], ids=["str", "null", "list"])
+    @pytest.mark.parametrize(
+        "section, pos", [("metals", 0), ("metals", 3), ("vias", 1)]
+    )
+    def test_non_object_entry_rejected(self, section, pos, value):
+        """A metal or via entry that is not an object used to surface as
+        an ``AttributeError`` from the index sort (an HTTP 500 in serve)."""
+        doc = golden_stackup()
+        doc[section][pos] = value
+        with pytest.raises(ValueError, match=rf"{section}\[{pos}\] must be a JSON object"):
+            technology_from_any(doc)
+
     def test_non_finite_grid_unit_rejected(self):
         doc = golden_stackup()
         doc["grid_unit"] = float("inf")
