@@ -39,7 +39,8 @@ def test_figure1(benchmark):
     # Bipartite sanity and the obstacle's missing edge.
     v4_line = next(l for l in art.splitlines() if l.strip().startswith("v4:"))
     assert "h3" not in v4_line
-    assert len(list(tig.edges())) == 6 * 5 - 1 - 6  # obstacle + 6 terminals
+    usable = sum(tig.edge_usable(v, h) for v in range(6) for h in range(5))
+    assert usable == 6 * 5 - 1 - 6  # obstacle + 6 terminals
     print_experiment("Figure 1: Track Intersection Graph", art)
 
 

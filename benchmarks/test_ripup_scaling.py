@@ -1,6 +1,6 @@
 """Rip-up cost scaling: O(cells the net touches), not O(grid).
 
-The seed implementation's ``clear_net`` masked the full occupancy
+The seed implementation's rip-up masked the full occupancy
 arrays (``2*h*v`` slots scanned per rip); the ledger-based ``rip_net``
 replays only the ripped net's own mutation records.  This experiment
 rips an identical fixed-size net off grids of growing size and checks
@@ -34,10 +34,18 @@ def wire_fixed_net(grid: RoutingGrid) -> None:
     grid.occupy_v(NET_SPAN - 1, 5, 5 + NET_SPAN - 1, NET_ID)
 
 
+def ledger_cells(grid: RoutingGrid, net_id: int) -> int:
+    """Slots a net's ledger records: span entries plus both slots per corner."""
+    return sum(
+        2 if entry[0] == "c" else entry[3] - entry[2] + 1
+        for entry in grid.ledger_entries(net_id)
+    )
+
+
 def measure(n: int, repeats: int = 50):
     grid = make_grid(n)
     wire_fixed_net(grid)
-    recorded = grid.net_cells_recorded(NET_ID)
+    recorded = ledger_cells(grid, NET_ID)
     with instrument.collecting() as col:
         start = time.perf_counter()
         for _ in range(repeats):

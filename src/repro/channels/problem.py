@@ -94,15 +94,6 @@ class ChannelProblem:
         bottom = sum(1 for n in self.bottom if n == net)
         return top + bottom
 
-    def local_density(self, column: int) -> int:
-        """Nets whose pin span covers ``column``."""
-        count = 0
-        for net in self.nets():
-            lo, hi = self.span(net)
-            if lo <= column <= hi and self.pin_count(net) >= 2:
-                count += 1
-        return count
-
     def density(self) -> int:
         """Channel density: the two-layer track-count lower bound."""
         if self.length == 0:

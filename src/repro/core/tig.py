@@ -11,16 +11,16 @@ horizontal track that can be used for routing."*
 The graph is stored implicitly: its state lives in the ``O(h*v)``
 occupancy array (:class:`repro.grid.RoutingGrid`), exactly as the paper
 describes in section 3.4.  This module provides the graph-level view on
-top of that array - vertex/edge enumeration for small instances, the
-terminal abstraction (a terminal *is* a TIG edge), and obstacle
-registration - while the search (:mod:`repro.core.search`) reads the
+top of that array - vertex naming, per-edge usability, the terminal
+abstraction (a terminal *is* a TIG edge), and obstacle registration -
+while the search (:mod:`repro.core.search`) reads the
 array directly for speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.geometry import Point, Rect
 from repro.grid import FREE, PlaneSet, RoutingGrid, TrackSet
@@ -244,34 +244,6 @@ class TrackIntersectionGraph:
                 and self.grid.v_slot(v_idx, h_idx) == FREE
             )
         return self.grid.corner_free(v_idx, h_idx, net_id)
-
-    def edges(self, net_id: int = FREE) -> Iterator[tuple[int, int]]:
-        """All usable TIG edges as ``(v_idx, h_idx)`` pairs.
-
-        Enumeration is ``O(h*v)``; intended for small didactic
-        instances, figures and tests, not the router hot path.
-        """
-        for v in range(self.grid.num_vtracks):
-            for h in range(self.grid.num_htracks):
-                if self.edge_usable(v, h, net_id):
-                    yield (v, h)
-
-    def degree(self, vertex: str) -> int:
-        """Degree of a named vertex (``"v3"`` / ``"h2"``) in the TIG."""
-        kind, idx = vertex[0], int(vertex[1:]) - 1
-        if kind == "v":
-            return sum(
-                1
-                for h in range(self.grid.num_htracks)
-                if self.edge_usable(idx, h)
-            )
-        if kind == "h":
-            return sum(
-                1
-                for v in range(self.grid.num_vtracks)
-                if self.edge_usable(v, idx)
-            )
-        raise ValueError(f"bad vertex name {vertex!r}")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -48,7 +48,6 @@ from repro.dispatch.plan import (
     halo_tracks,
     net_window,
     plan_wave,
-    plan_waves,
     windows_overlap,
 )
 from repro.dispatch.workers import (
@@ -75,7 +74,6 @@ __all__ = [
     "halo_tracks",
     "net_window",
     "plan_wave",
-    "plan_waves",
     "route_levelb",
     "route_net_task",
     "run_suite_batch",

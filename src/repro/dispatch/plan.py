@@ -50,7 +50,6 @@ __all__ = [
     "halo_tracks",
     "net_window",
     "plan_wave",
-    "plan_waves",
     "windows_overlap",
 ]
 
@@ -195,20 +194,3 @@ def plan_wave(plans: Sequence[NetPlan], limit: int | None = None) -> list[NetPla
         if all(not windows_overlap(plan, member) for member in wave):
             wave.append(plan)
     return wave
-
-
-def plan_waves(plans: Sequence[NetPlan], limit: int | None = None) -> list[list[NetPlan]]:
-    """Partition all plans into successive waves (analysis/test helper).
-
-    The live speculator plans waves lazily as the router consumes nets;
-    this eager version exposes the same greedy structure for tests,
-    docs and wave-size statistics.
-    """
-    remaining = list(plans)
-    waves: list[list[NetPlan]] = []
-    while remaining:
-        wave = plan_wave(remaining, limit)
-        chosen = {p.net_id for p in wave}
-        remaining = [p for p in remaining if p.net_id not in chosen]
-        waves.append(wave)
-    return waves

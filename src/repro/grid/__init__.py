@@ -42,7 +42,6 @@ from repro.grid.backend import (
     SparseBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
 from repro.grid.occupancy import (
     FREE,
@@ -72,5 +71,4 @@ __all__ = [
     "PagedArray",
     "available_backends",
     "get_backend",
-    "register_backend",
 ]

@@ -3,8 +3,8 @@
 The paper stores the TIG state in dense two-dimensional arrays — an
 ``O(h*v)`` footprint that caps design size long before the machine runs
 out of compute.  This module abstracts *where those arrays live* behind
-the :class:`OccupancyBackend` protocol, registry-selected by name
-exactly like the connection engines (:mod:`repro.core.engine`):
+the :class:`OccupancyBackend` protocol; :func:`get_backend` selects one
+of the two built-ins by name:
 
 ``"dense"`` (:class:`DenseBackend`)
     The historical representation: three contiguous numpy arrays.
@@ -41,7 +41,6 @@ __all__ = [
     "PagedArray",
     "available_backends",
     "get_backend",
-    "register_backend",
 ]
 
 #: Cells per :class:`PagedArray` chunk.  Small enough that an isolated
@@ -307,7 +306,7 @@ class OccupancyBackend:
     keeps the backends behaviourally interchangeable.
     """
 
-    #: Registry key; subclasses must override.
+    #: The name :func:`get_backend` resolves; subclasses must override.
     name: str = ""
 
     def __init__(self, num_htracks: int, num_vtracks: int) -> None:
@@ -356,37 +355,9 @@ class OccupancyBackend:
         raise NotImplementedError
 
 
-_REGISTRY: dict[str, type[OccupancyBackend]] = {}
-
-
-def register_backend(cls: type[OccupancyBackend]) -> type[OccupancyBackend]:
-    """Class decorator: add an :class:`OccupancyBackend` to the registry."""
-    if not cls.name:
-        raise ValueError(f"backend class {cls.__name__} must set a name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def available_backends() -> list[str]:
-    """Names resolvable by :func:`get_backend`."""
-    return sorted(_REGISTRY)
-
-
-def get_backend(name: str) -> type[OccupancyBackend]:
-    """Resolve a backend class by registry name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown occupancy backend {name!r}; "
-            f"available: {available_backends()}"
-        ) from None
-
-
 # ----------------------------------------------------------------------
 # Implementations
 # ----------------------------------------------------------------------
-@register_backend
 class DenseBackend(OccupancyBackend):
     """Contiguous numpy arrays — the paper's representation."""
 
@@ -423,7 +394,6 @@ class DenseBackend(OccupancyBackend):
         )
 
 
-@register_backend
 class SparseBackend(OccupancyBackend):
     """Paged track chunks, allocated on first touch.
 
@@ -463,3 +433,26 @@ class SparseBackend(OccupancyBackend):
             self.v_owner.to_numpy(),
             self.unrouted_terms.to_numpy(),
         )
+
+
+#: The built-in backends by name, the keys of :func:`available_backends`.
+_BACKENDS: dict[str, type[OccupancyBackend]] = {
+    DenseBackend.name: DenseBackend,
+    SparseBackend.name: SparseBackend,
+}
+
+
+def available_backends() -> list[str]:
+    """Names resolvable by :func:`get_backend`."""
+    return sorted(_BACKENDS)
+
+
+def get_backend(name: str) -> type[OccupancyBackend]:
+    """Resolve a backend class by name."""
+    try:
+        return _BACKENDS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown occupancy backend {name!r}; "
+            f"available: {available_backends()}"
+        ) from None

@@ -327,12 +327,6 @@ class RoutingGrid:
         span, guard = self.footprint_of(net_id)
         return span - 1 + guard
 
-    def max_footprint_reach(self) -> int:
-        """Largest :meth:`footprint_reach` over all declared footprints."""
-        if not self._footprints:
-            return 0
-        return max(s - 1 + g for s, g in self._footprints.values())
-
     @staticmethod
     def _expand_rows(base: int, fp: tuple[int, int], n: int) -> range:
         """Track rows a footprinted claim at ``base`` touches, clamped."""
@@ -737,53 +731,6 @@ class RoutingGrid:
         corner_ok = _block_and(_block_and(both, block, axis=0), block, axis=1)
         return h_ok, v_ok, corner_ok
 
-    def free_span_h(
-        self, h_idx: int, v_idx: int, net_id: int, within: Interval | None = None
-    ) -> Interval | None:
-        """Maximal v-index interval around ``v_idx`` usable on h-track.
-
-        A cell is usable when the net's horizontal wire may pass it
-        (:meth:`usable_window`).  Returns ``None`` when the entry cell
-        itself is unusable.  ``within`` clips the search window (the
-        paper bounds each search to a rectangle around the terminals) —
-        and is applied *before* the store is read, so a bounded search
-        on a sparse backend never materialises a full track row.
-        """
-        lo, hi = self._clip(within, self.num_vtracks)
-        if not lo <= v_idx <= hi:
-            return None
-        h_ok = self.usable_window(net_id, Interval(lo, hi), Interval(h_idx, h_idx))[0]
-        return _run_around(h_ok[0], v_idx - lo, lo)
-
-    def free_span_v(
-        self, v_idx: int, h_idx: int, net_id: int, within: Interval | None = None
-    ) -> Interval | None:
-        """Maximal h-index interval around ``h_idx`` usable on v-track."""
-        lo, hi = self._clip(within, self.num_htracks)
-        if not lo <= h_idx <= hi:
-            return None
-        v_ok = self.usable_window(net_id, Interval(v_idx, v_idx), Interval(lo, hi))[1]
-        return _run_around(v_ok[:, 0], h_idx - lo, lo)
-
-    @staticmethod
-    def _clip(within: Interval | None, n: int) -> tuple[int, int]:
-        if within is None:
-            return 0, n - 1
-        return max(0, within.lo), min(n - 1, within.hi)
-
-    def span_usable_h(
-        self, h_idx: int, v_lo: int, v_hi: int, net_id: int
-    ) -> bool:
-        """Is the whole h-track span ``[v_lo, v_hi]`` usable by the net?"""
-        window = Interval.spanning(v_lo, v_hi)
-        return bool(self.usable_window(net_id, window, Interval(h_idx, h_idx))[0].all())
-
-    def span_usable_v(
-        self, v_idx: int, h_lo: int, h_hi: int, net_id: int
-    ) -> bool:
-        window = Interval.spanning(h_lo, h_hi)
-        return bool(self.usable_window(net_id, Interval(v_idx, v_idx), window)[1].all())
-
     # ------------------------------------------------------------------
     # Mutation (the O(t)-per-segment update of section 3.4)
     # ------------------------------------------------------------------
@@ -949,10 +896,6 @@ class RoutingGrid:
             self._journal.append(("rip", net_id, ledger))
         return freed
 
-    def clear_net(self, net_id: int) -> int:
-        """Backwards-compatible alias for :meth:`rip_net`."""
-        return self.rip_net(net_id)
-
     def ledgered_net_ids(self) -> list[int]:
         """Net ids with a non-empty mutation ledger, sorted."""
         return sorted(i for i, entries in self._net_ledger.items() if entries)
@@ -967,21 +910,6 @@ class RoutingGrid:
         :mod:`repro.check` replays these against the occupancy arrays.
         """
         return tuple(self._net_ledger.get(net_id, ()))
-
-    def net_cells_recorded(self, net_id: int) -> int:
-        """Slots recorded in a net's ledger (overlaps counted twice).
-
-        An upper bound on what :meth:`rip_net` will free; exposed for
-        tests and benchmarks asserting the O(cells) rip-up contract.
-        """
-        cells = 0
-        for entry in self._net_ledger.get(net_id, ()):
-            tag = entry[0]
-            if tag == _LEDGER_C:
-                cells += 2
-            else:
-                cells += entry[3] - entry[2] + 1
-        return cells
 
     def owners_near(self, v_idx: int, h_idx: int, radius: int) -> list[int]:
         """Net ids wired within ``radius`` tracks of an intersection."""
@@ -1062,17 +990,6 @@ def _block_and(mask: np.ndarray, block: int, axis: int) -> np.ndarray:
         window[axis] = slice(d, d + n)
         out = out & mask[tuple(window)]
     return out
-
-
-def _run_around(usable: np.ndarray, pos: int, offset: int) -> Interval | None:
-    """The run of usable cells containing position ``pos``, or ``None``.
-
-    ``usable`` is one track's mask starting at global index ``offset``.
-    """
-    if not usable[pos]:
-        return None
-    lo, hi = UsableRuns(usable[np.newaxis]).around(np.zeros(1, dtype=np.intp), np.array([pos]))
-    return Interval(int(lo[0]) + offset, int(hi[0]) + offset)
 
 
 class UsableRuns:

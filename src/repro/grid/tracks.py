@@ -73,16 +73,6 @@ class TrackSet:
     def has(self, coord: int) -> bool:
         return coord in self._index
 
-    def nearest_index(self, coord: int) -> int:
-        """Index of the track closest to ``coord`` (ties go low)."""
-        pos = bisect.bisect_left(self._coords, coord)
-        if pos == 0:
-            return 0
-        if pos == len(self._coords):
-            return len(self._coords) - 1
-        before, after = self._coords[pos - 1], self._coords[pos]
-        return pos if (after - coord) < (coord - before) else pos - 1
-
     def index_range(self, lo_coord: int, hi_coord: int) -> range:
         """Indices of all tracks with coordinates in ``[lo, hi]``."""
         lo = bisect.bisect_left(self._coords, lo_coord)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -55,37 +56,62 @@ def design_to_dict(design: Design) -> dict[str, Any]:
     }
 
 
+def _string(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _flag(value: Any, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _finite(value: Any, what: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
 def design_from_dict(data: dict[str, Any]) -> Design:
     """Rebuild a :class:`Design` written by :func:`design_to_dict`."""
     if data.get("format") != "repro-design":
         raise ValueError("not a repro design document")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported design format version {data.get('version')}")
-    design = Design(data["name"])
+    design = Design(_string(data["name"], "name"))
     pin_index = {}
-    for cell_data in data["cells"]:
+    for c, cell_data in enumerate(data["cells"]):
         cell = design.add_cell(
-            cell_data["name"], cell_data["width"], cell_data["height"]
+            _string(cell_data["name"], f"cells[{c}].name"),
+            cell_data["width"],
+            cell_data["height"],
         )
         if cell_data.get("origin") is not None:
             x, y = cell_data["origin"]
             cell.place(x, y)
-        for pin_data in cell_data["pins"]:
+        for p, pin_data in enumerate(cell_data["pins"]):
             pin = design.add_pin(
                 cell.name,
-                pin_data["name"],
+                _string(pin_data["name"], f"cells[{c}].pins[{p}].name"),
                 Edge(pin_data["edge"]),
                 pin_data["offset"],
             )
             pin_index[pin.full_name] = pin
-    for net_data in data["nets"]:
+    for n, net_data in enumerate(data["nets"]):
+        field = f"nets[{n}]"
         net = design.add_net(
-            net_data["name"],
-            is_critical=net_data.get("is_critical", False),
-            weight=net_data.get("weight", 1.0),
+            _string(net_data["name"], f"{field}.name"),
+            is_critical=_flag(net_data.get("is_critical", False), f"{field}.is_critical"),
+            weight=_finite(net_data.get("weight", 1.0), f"{field}.weight"),
             net_class=NetClass(net_data.get("net_class", "signal")),
         )
-        net.is_sensitive = net_data.get("is_sensitive", False)
+        net.is_sensitive = _flag(net_data.get("is_sensitive", False), f"{field}.is_sensitive")
         for full_name in net_data["pins"]:
             try:
                 net.add_pin(pin_index[full_name])

@@ -4,7 +4,7 @@ The subsystem that turns one-pass failures into iterations: a
 PathFinder-style convergence loop (:func:`iterate_levelb`) over the
 transactional grid, per-track history costs
 (:class:`repro.core.cost.TrackHistory`) folded into the section 3.2
-cost model, and a pluggable :class:`OrderingPolicy` registry deciding
+cost model, and an :class:`OrderingPolicy`, chosen by name, deciding
 each pass's net order.  One-pass routing never touches any of this —
 with ``FlowParams.iterate`` off, routed geometry stays bit-identical
 to the seed digests.
@@ -27,7 +27,6 @@ from repro.iterate.policies import (
     OrderingPolicy,
     available_policies,
     get_policy,
-    register_policy,
 )
 from repro.iterate.tuning import (
     CandidateScore,
@@ -54,6 +53,5 @@ __all__ = [
     "default_candidates",
     "get_policy",
     "iterate_levelb",
-    "register_policy",
     "tune_feature_policy",
 ]

@@ -110,7 +110,7 @@ class IterateConfig:
     max_iterations: int = 8
     #: Consecutive non-improving passes before giving up.
     stall_limit: int = 2
-    #: Ordering policy: a registry name (:mod:`repro.iterate.policies`)
+    #: Ordering policy: a policy name (:mod:`repro.iterate.policies`)
     #: or a ready policy instance (the tuning harness passes candidate
     #: :class:`FeatureOrderingPolicy` objects directly).
     policy: "str | OrderingPolicy" = "longest-first"

@@ -1,4 +1,4 @@
-"""The pluggable net-ordering policy registry for iterative routing.
+"""Net-ordering policies for iterative routing.
 
 "Machine Learning Optimal Ordering in Global Routing Problems in
 Semiconductors" (PAPERS.md, arXiv 2412.21035) shows that the order
@@ -9,7 +9,7 @@ iterative driver (:mod:`repro.iterate.loop`) instead asks an
 it the previous iteration's per-net outcome (:class:`NetFeedback`) so
 the order can react to observed congestion.
 
-Three built-ins ship in the registry:
+Three policies ship, resolved by name through :func:`get_policy`:
 
 ``longest-first``
     The paper's criterion every pass, with failed nets promoted to the
@@ -54,7 +54,6 @@ __all__ = [
     "OrderingPolicy",
     "available_policies",
     "get_policy",
-    "register_policy",
 ]
 
 
@@ -83,7 +82,7 @@ NO_FEEDBACK = NetFeedback()
 class OrderingPolicy(ABC):
     """Decides the serial routing order of every iteration."""
 
-    #: Registry key; set by every concrete policy.
+    #: The name :func:`get_policy` resolves; set by every concrete policy.
     name: str = ""
 
     def initial_order(self, nets: Sequence[Net]) -> list[Net]:
@@ -106,40 +105,9 @@ class OrderingPolicy(ABC):
         """
 
 
-_REGISTRY: dict[str, type[OrderingPolicy]] = {}
-
-
-def register_policy(cls: type[OrderingPolicy]) -> type[OrderingPolicy]:
-    """Class decorator adding a policy to the registry by its name."""
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must set a non-empty 'name'")
-    if cls.name in _REGISTRY:
-        raise ValueError(f"ordering policy {cls.name!r} already registered")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def get_policy(name: str) -> OrderingPolicy:
-    """A fresh policy instance by registry name."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown ordering policy {name!r} "
-            f"(available: {list(available_policies())})"
-        ) from None
-    return cls()
-
-
-def available_policies() -> tuple[str, ...]:
-    """Registered policy names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
 # ----------------------------------------------------------------------
 # Built-in policies
 # ----------------------------------------------------------------------
-@register_policy
 class LongestFirstPolicy(OrderingPolicy):
     """The paper's longest-distance-first criterion, every pass.
 
@@ -163,7 +131,6 @@ class LongestFirstPolicy(OrderingPolicy):
         )
 
 
-@register_policy
 class CongestionAwarePolicy(OrderingPolicy):
     """Reorder by the previous iteration's overflow contribution.
 
@@ -203,7 +170,6 @@ class FeatureWeights:
     degree: float = 0.5
 
 
-@register_policy
 class FeatureOrderingPolicy(OrderingPolicy):
     """Score nets by a weighted feature sum; highest score routes first.
 
@@ -249,3 +215,27 @@ class FeatureOrderingPolicy(OrderingPolicy):
     ) -> list[Net]:
         scores = self._scores(nets, feedback)
         return sorted(nets, key=lambda n: (-scores[n.name], n.name))
+
+
+#: The built-in policies by name, the keys of :func:`available_policies`.
+_POLICIES: dict[str, type[OrderingPolicy]] = {
+    cls.name: cls
+    for cls in (LongestFirstPolicy, CongestionAwarePolicy, FeatureOrderingPolicy)
+}
+
+
+def get_policy(name: str) -> OrderingPolicy:
+    """A fresh policy instance by name."""
+    try:
+        cls = _POLICIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown ordering policy {name!r} "
+            f"(available: {list(available_policies())})"
+        ) from None
+    return cls()
+
+
+def available_policies() -> tuple[str, ...]:
+    """Policy names, sorted."""
+    return tuple(sorted(_POLICIES))

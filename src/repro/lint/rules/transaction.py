@@ -35,7 +35,7 @@ __all__ = ["CommitScopeRule", "OccupancyMutationRule"]
 #: layer itself owns the journal.
 _GRID_PACKAGE = "repro.grid"
 
-_JOURNALED_CALLS = frozenset({"commit_path", "rip_net", "clear_net"})
+_JOURNALED_CALLS = frozenset({"commit_path", "rip_net"})
 
 #: Private occupancy state. Everything here is owned by the
 #: ledger/journal machinery in grid/occupancy.py + grid/backend.py.

@@ -58,6 +58,19 @@ def _finite(value: Any, what: str) -> float:
     return out
 
 
+def _integer(value: Any, what: str) -> int:
+    """``value`` as an int; bools, floats and strings fail."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"stackup {what} must be an integer, got {value!r}")
+    return value
+
+
+def _string(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"stackup {what} must be a string, got {value!r}")
+    return value
+
+
 def _quantize(value: Any, grid_unit: float, what: str) -> int:
     """``value`` in physical units onto the integer lambda grid."""
     physical = _finite(value, what)
@@ -86,7 +99,7 @@ def _spacing_table(
                     f"{name} width_at_least",
                 ),
                 min_spacing=_quantize(
-                    row["min_spacing"], grid_unit, f"{name} min_spacing"
+                    row.get("min_spacing"), grid_unit, f"{name} min_spacing"
                 ),
             )
         )
@@ -121,8 +134,15 @@ def technology_from_stackup(data: dict[str, Any]) -> Technology:
             raise ValueError(
                 f"metals[{pos}] must be a JSON object, got {type(metal).__name__}"
             )
+        # Checked before the index sort, which compares them.
+        if "name" in metal:
+            _string(metal["name"], f"metals[{pos}].name")
+        if "index" in metal:
+            _integer(metal["index"], f"metals[{pos}].index")
     layers = []
-    for pos, metal in enumerate(sorted(metals, key=lambda m: m.get("index", 0))):
+    order = sorted(range(len(metals)), key=lambda i: metals[i].get("index", 0))
+    for pos, doc_pos in enumerate(order):
+        metal, field = metals[doc_pos], f"metals[{doc_pos}]"
         name = metal.get("name", f"metal{pos + 1}")
         index = metal.get("index", pos + 1)
         direction = metal.get("direction")
@@ -131,7 +151,7 @@ def technology_from_stackup(data: dict[str, Any]) -> Technology:
                 f"{name}: direction must be 'horizontal' or 'vertical', "
                 f"got {direction!r}"
             )
-        pitch = _quantize(metal["pitch"], grid_unit, f"{name} pitch")
+        pitch = _quantize(metal.get("pitch"), grid_unit, f"{name} pitch")
         width = (
             _quantize(metal["width"], grid_unit, f"{name} width")
             if "width" in metal
@@ -152,15 +172,19 @@ def technology_from_stackup(data: dict[str, Any]) -> Technology:
                 direction=RoutingDirection(direction),
                 pitch=pitch,
                 width=width,
-                sheet_resistance=metal.get("sheet_resistance", 0.07),
-                cap_per_lambda=metal.get("cap_per_lambda", 0.20),
+                sheet_resistance=_finite(
+                    metal.get("sheet_resistance", 0.07), f"{field}.sheet_resistance"
+                ),
+                cap_per_lambda=_finite(
+                    metal.get("cap_per_lambda", 0.20), f"{field}.cap_per_lambda"
+                ),
                 min_width=min_width,
                 spacing_table=table,
             )
         )
     vias = _ingest_vias(data.get("vias"), layers, grid_unit)
     return Technology(
-        name=str(data.get("name", "stackup")),
+        name=_string(data.get("name", "stackup"), "name"),
         layers=tuple(layers),
         vias=tuple(vias),
     )
@@ -179,10 +203,10 @@ def _ingest_vias(
                     f"vias[{pos}] must be a JSON object, got {type(vd).__name__}"
                 )
             rule = ViaRule(
-                lower=vd["lower"],
-                upper=vd["upper"],
-                size=_quantize(vd["size"], grid_unit, "via size"),
-                cost=_finite(vd.get("cost", 1.0), "via cost"),
+                lower=_integer(vd.get("lower"), f"vias[{pos}].lower"),
+                upper=_integer(vd.get("upper"), f"vias[{pos}].upper"),
+                size=_quantize(vd.get("size"), grid_unit, f"vias[{pos}].size"),
+                cost=_finite(vd.get("cost", 1.0), f"vias[{pos}].cost"),
             )
             declared[rule.lower] = rule
     vias = []

@@ -99,12 +99,6 @@ class Technology:
             raise KeyError(f"no metal{index} in {self.name}")
         return self.layers[index - 1]
 
-    def layer_by_name(self, name: str) -> Layer:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer named {name!r} in {self.name}")
-
     def via(self, lower: int) -> ViaRule:
         """The via rule from metal ``lower`` to metal ``lower + 1``."""
         for rule in self.vias:

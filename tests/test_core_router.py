@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geometry import Rect
+from repro.geometry import Interval, Rect
 from repro.netlist import Edge
 from repro.core import LevelBConfig, LevelBRouter
 from repro.core.cost import CostWeights
@@ -168,13 +168,17 @@ class TestOccupancyConsistency:
                         rng = grid.vtracks.index_range(
                             seg.bounds.x1, seg.bounds.x2
                         )
-                        assert grid.span_usable_h(h, rng.start, rng.stop - 1, nid)
+                        window = Interval(rng.start, rng.stop - 1)
+                        h_ok = grid.usable_window(nid, window, Interval(h, h))[0]
+                        assert h_ok.all()
                     else:
                         v = grid.vtracks.index_of(seg.a.x)
                         rng = grid.htracks.index_range(
                             seg.bounds.y1, seg.bounds.y2
                         )
-                        assert grid.span_usable_v(v, rng.start, rng.stop - 1, nid)
+                        window = Interval(rng.start, rng.stop - 1)
+                        v_ok = grid.usable_window(nid, Interval(v, v), window)[1]
+                        assert v_ok.all()
 
     def test_no_foreign_overlap(self):
         """Owners on the grid are exactly the routed nets."""

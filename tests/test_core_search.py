@@ -278,11 +278,24 @@ def reference_mbfs(grid, net_id, source, target, v_iv, h_iv, max_depth, max_node
     """
     created, aborted = 0, False
     goal = {"V": (target.v_idx, target.h_idx), "H": (target.h_idx, target.v_idx)}
+    h_ok, v_ok, _ = grid.usable_window(net_id, v_iv, h_iv)
 
     def span_of(kind, track, entry):
+        """The usable run through ``entry`` on a track, scanned cell by cell."""
         if kind == "V":
-            return grid.free_span_v(track, entry, net_id, within=h_iv)
-        return grid.free_span_h(track, entry, net_id, within=v_iv)
+            lo, hi = h_iv.lo, h_iv.hi
+            usable = [bool(v_ok[p - lo, track - v_iv.lo]) for p in range(lo, hi + 1)]
+        else:
+            lo, hi = v_iv.lo, v_iv.hi
+            usable = [bool(h_ok[track - h_iv.lo, p - lo]) for p in range(lo, hi + 1)]
+        if not usable[entry - lo]:
+            return None
+        a = b = entry
+        while a > lo and usable[a - 1 - lo]:
+            a -= 1
+        while b < hi and usable[b + 1 - lo]:
+            b += 1
+        return Interval(a, b)
 
     def completes(node):
         return node[1] == goal[node[0]][0] and node[3].contains(goal[node[0]][1])

@@ -31,7 +31,6 @@ from repro.dispatch import (
     halo_tracks,
     net_window,
     plan_wave,
-    plan_waves,
     route_levelb,
     route_net_task,
     speculative_config,
@@ -105,7 +104,13 @@ class TestPlanning:
             NetPlan(i, Interval(4 * (i % 3), 4 * (i % 3) + 5), Interval(0, 5))
             for i in range(6)
         ]
-        waves = plan_waves(plans)
+        waves, remaining = [], list(plans)
+        while remaining:
+            wave = plan_wave(remaining)
+            assert wave and wave[0] is remaining[0]  # the head always progresses
+            waves.append(wave)
+            chosen = {p.net_id for p in wave}
+            remaining = [p for p in remaining if p.net_id not in chosen]
         seen = [p.net_id for wave in waves for p in wave]
         assert sorted(seen) == list(range(6))
 

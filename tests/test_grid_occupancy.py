@@ -1,16 +1,49 @@
 """Tests for repro.grid.occupancy (the O(h*v) occupancy array)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Interval, Rect
-from repro.grid import FREE, OBSTACLE, RoutingGrid, TrackSet
+from repro.grid import FREE, OBSTACLE, RoutingGrid, TrackSet, UsableRuns
 
 
 def make_grid(nv=10, nh=8) -> RoutingGrid:
     return RoutingGrid(
         TrackSet(range(0, nv * 10, 10)), TrackSet(range(0, nh * 10, 10))
     )
+
+
+def h_usable(g, h_idx, v_lo, v_hi, net_id):
+    """Is the whole h-track span ``[v_lo, v_hi]`` usable by the net?"""
+    return bool(g.usable_window(net_id, Interval(v_lo, v_hi), Interval(h_idx, h_idx))[0].all())
+
+
+def v_usable(g, v_idx, h_lo, h_hi, net_id):
+    return bool(g.usable_window(net_id, Interval(v_idx, v_idx), Interval(h_lo, h_hi))[1].all())
+
+
+def run_around(usable, pos, offset):
+    """The run of a one-track mask holding ``pos``, or ``None``."""
+    if not usable[pos]:
+        return None
+    lo, hi = UsableRuns(usable[np.newaxis]).around(np.zeros(1, dtype=np.intp), np.array([pos]))
+    return Interval(int(lo[0]) + offset, int(hi[0]) + offset)
+
+
+def h_run(g, h_idx, v_idx, net_id, within=None):
+    """The usable run around ``v_idx`` on an h-track, inside ``within``."""
+    window = within or Interval(0, g.num_vtracks - 1)
+    if not window.contains(v_idx):
+        return None
+    h_ok = g.usable_window(net_id, window, Interval(h_idx, h_idx))[0]
+    return run_around(h_ok[0], v_idx - window.lo, window.lo)
+
+
+def v_run(g, v_idx, h_idx, net_id):
+    """The usable run around ``h_idx`` on a v-track."""
+    v_ok = g.usable_window(net_id, Interval(v_idx, v_idx), Interval(0, g.num_htracks - 1))[1]
+    return run_around(v_ok[:, 0], h_idx, 0)
 
 
 class TestBasics:
@@ -97,11 +130,11 @@ class TestSpans:
         g = make_grid()
         g.occupy_h(2, 1, 4, net_id=7)
         assert g.h_slot(3, 2) == 7
-        assert g.span_usable_h(2, 1, 4, net_id=7)
-        assert not g.span_usable_h(2, 1, 4, net_id=8)
+        assert h_usable(g, 2, 1, 4, net_id=7)
+        assert not h_usable(g, 2, 1, 4, net_id=8)
         # Crossing stays open: vertical slots untouched.
         assert g.v_slot(3, 2) == FREE
-        assert g.span_usable_v(3, 0, 7, net_id=8)
+        assert v_usable(g, 3, 0, 7, net_id=8)
 
     def test_occupy_conflict_raises(self):
         g = make_grid()
@@ -131,31 +164,33 @@ class TestSpans:
 
 
 class TestFreeSpan:
+    """The usable run around an entry cell: ``usable_window`` + ``UsableRuns``."""
+
     def test_full_row_free(self):
         g = make_grid(10, 8)
-        assert g.free_span_h(3, 5, net_id=1) == Interval(0, 9)
+        assert h_run(g, 3, 5, net_id=1) == Interval(0, 9)
 
     def test_blocked_entry_returns_none(self):
         g = make_grid()
         g.occupy_h(3, 5, 5, net_id=2)
-        assert g.free_span_h(3, 5, net_id=1) is None
-        assert g.free_span_h(3, 5, net_id=2) == Interval(0, 9)
+        assert h_run(g, 3, 5, net_id=1) is None
+        assert h_run(g, 3, 5, net_id=2) == Interval(0, 9)
 
     def test_span_stops_at_foreign_wire(self):
         g = make_grid()
         g.occupy_h(3, 2, 2, net_id=2)
         g.occupy_h(3, 8, 8, net_id=2)
-        assert g.free_span_h(3, 5, net_id=1) == Interval(3, 7)
+        assert h_run(g, 3, 5, net_id=1) == Interval(3, 7)
 
     def test_window_clipping(self):
         g = make_grid()
-        assert g.free_span_h(3, 5, net_id=1, within=Interval(4, 6)) == Interval(4, 6)
-        assert g.free_span_h(3, 5, net_id=1, within=Interval(6, 8)) is None
+        assert h_run(g, 3, 5, net_id=1, within=Interval(4, 6)) == Interval(4, 6)
+        assert h_run(g, 3, 5, net_id=1, within=Interval(6, 8)) is None
 
     def test_free_span_v(self):
         g = make_grid()
         g.occupy_v(4, 6, 7, net_id=9)
-        assert g.free_span_v(4, 2, net_id=1) == Interval(0, 5)
+        assert v_run(g, 4, 2, net_id=1) == Interval(0, 5)
 
     @settings(max_examples=60)
     @given(
@@ -169,10 +204,10 @@ class TestFreeSpan:
         occupied = set()
         for start, width in blocks:
             end = min(9, start + width - 1)
-            if g.span_usable_h(2, start, end, net_id=2):
+            if h_usable(g, 2, start, end, net_id=2):
                 g.occupy_h(2, start, end, net_id=2)
                 occupied.update(range(start, end + 1))
-        span = g.free_span_h(2, probe, net_id=1)
+        span = h_run(g, 2, probe, net_id=1)
         if probe in occupied:
             assert span is None
         else:
@@ -268,11 +303,11 @@ class TestStatistics:
         g = make_grid()
         g.occupy_h(1, 0, 2, net_id=5)
         g.occupy_corner(6, 6, net_id=5)
-        freed = g.clear_net(5)
+        freed = g.rip_net(5)
         assert freed == 5  # 3 h-slots + corner's h and v slots
         assert g.owners() == []
         with pytest.raises(ValueError):
-            g.clear_net(0)
+            g.rip_net(0)
 
     def test_owners_near(self):
         g = make_grid()
@@ -283,7 +318,7 @@ class TestStatistics:
 
 
 class TestClearNetRoundTrip:
-    """clear_net must exactly undo a net's commits (rip-up safety)."""
+    """rip_net must exactly undo a net's commits (rip-up safety)."""
 
     @given(st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
@@ -321,7 +356,7 @@ class TestClearNetRoundTrip:
             g.commit_path(3, dedup, corners)
         except ValueError:
             return  # collided with the foreign wiring; nothing to test
-        g.clear_net(3)
+        g.rip_net(3)
         assert g.matches(before)
 
 

@@ -1,7 +1,6 @@
 """Tests for repro.grid.tracks."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.geometry import Interval
 from repro.grid import TrackSet
@@ -50,14 +49,6 @@ class TestTrackSetQueries:
         ts = TrackSet([0, 10])
         assert ts.has(10) and not ts.has(5)
 
-    def test_nearest_index(self):
-        ts = TrackSet([0, 10, 20])
-        assert ts.nearest_index(-5) == 0
-        assert ts.nearest_index(26) == 2
-        assert ts.nearest_index(12) == 1
-        assert ts.nearest_index(17) == 2
-        assert ts.nearest_index(5) == 0  # ties go low
-
     def test_index_range(self):
         ts = TrackSet([0, 8, 16, 24, 32])
         assert list(ts.index_range(8, 24)) == [1, 2, 3]
@@ -76,10 +67,3 @@ class TestTrackSetQueries:
     def test_span(self):
         ts = TrackSet([3, 8, 20])
         assert ts.span == Interval(3, 20)
-
-    @given(st.lists(st.integers(-500, 500), min_size=1, max_size=40),
-           st.integers(-600, 600))
-    def test_nearest_is_truly_nearest(self, coords, probe):
-        ts = TrackSet(coords)
-        best = ts[ts.nearest_index(probe)]
-        assert all(abs(best - probe) <= abs(c - probe) for c in ts)

@@ -94,6 +94,34 @@ class TestDesignRoundTrip:
         ):
             design_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("name", 0), ("weight", "x"), ("is_critical", {}), ("is_sensitive", "x"),
+         ("weight", float("nan")), ("is_critical", 1)],
+    )
+    def test_bad_net_field_rejected(self, key, value):
+        """These used to load: a numeric name then failed deep in routing
+        with a ``TypeError``, the rest were accepted silently."""
+        doc = design_to_dict(SUITES["ami33"]())
+        doc["nets"][3][key] = value
+        with pytest.raises(ValueError, match=rf"nets\[3\]\.{key}"):
+            design_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, field",
+        [((), "name"), (("cells", 2), r"cells\[2\]\.name"),
+         (("cells", 2, "pins", 0), r"cells\[2\]\.pins\[0\]\.name")],
+        ids=["design", "cell", "pin"],
+    )
+    def test_non_string_names_rejected(self, path, field):
+        doc = design_to_dict(SUITES["ami33"]())
+        node = doc
+        for key in path:
+            node = node[key]
+        node["name"] = ["not", "a", "name"]
+        with pytest.raises(ValueError, match=field):
+            design_from_dict(doc)
+
     def test_bad_documents_rejected(self):
         with pytest.raises(ValueError):
             design_from_dict({"format": "something-else"})

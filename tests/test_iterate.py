@@ -29,14 +29,12 @@ from repro.iterate import (
     FeatureOrderingPolicy,
     FeatureWeights,
     IterateConfig,
-    OrderingPolicy,
     available_policies,
     get_policy,
     iterate_levelb,
-    register_policy,
     tune_feature_policy,
 )
-from repro.iterate.policies import NO_FEEDBACK, NetFeedback, _REGISTRY
+from repro.iterate.policies import NO_FEEDBACK, NetFeedback
 
 from conftest import make_toy_design
 
@@ -199,24 +197,6 @@ class TestPolicyRegistry:
     def test_unknown_policy_lists_available(self):
         with pytest.raises(ValueError, match="longest-first"):
             get_policy("nope")
-
-    def test_register_rejects_duplicates_and_empty_names(self):
-        class Dup(OrderingPolicy):
-            name = "longest-first"
-
-            def reorder(self, nets, feedback):  # pragma: no cover
-                return list(nets)
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_policy(Dup)
-
-        class Anon(OrderingPolicy):
-            def reorder(self, nets, feedback):  # pragma: no cover
-                return list(nets)
-
-        with pytest.raises(ValueError, match="non-empty"):
-            register_policy(Anon)
-        assert "nameless" not in _REGISTRY
 
 
 class TestPolicyDeterminism:

@@ -123,7 +123,7 @@ class TestPlaneSet:
         before = planes.snapshot()
         planes[1].occupy_h(1, 0, 3, net_id=2)
         assert not planes.matches(before)
-        planes[1].clear_net(2)
+        planes[1].rip_net(2)
         assert planes.matches(before)
 
     def test_add_obstacle_blocks_every_plane(self):

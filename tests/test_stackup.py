@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LevelBRouter
-from repro.geometry import Rect
+from repro.geometry import Interval, Rect
 from repro.grid import FREE, RoutingGrid, TrackSet
 from repro.io import technology_from_dict, technology_to_dict
 from repro.technology import (
@@ -152,6 +152,55 @@ class TestIngest:
         with pytest.raises(ValueError, match=rf"{section}\[{pos}\] must be a JSON object"):
             technology_from_any(doc)
 
+    @pytest.mark.parametrize("value", ["x", None, []], ids=["str", "null", "list"])
+    @pytest.mark.parametrize(
+        "section, pos, key",
+        [
+            ("metals", 0, "index"),
+            ("metals", 4, "index"),
+            ("metals", 0, "sheet_resistance"),
+            ("metals", 0, "cap_per_lambda"),
+            ("vias", 0, "lower"),
+            ("vias", 2, "upper"),
+        ],
+    )
+    def test_bad_field_type_names_the_field(self, section, pos, key, value):
+        """These used to raise ``TypeError`` from the index sort, ``Layer``
+        or ``ViaRule``, none of them naming the field."""
+        doc = golden_stackup()
+        doc[section][pos][key] = value
+        with pytest.raises(ValueError, match=rf"{section}\[{pos}\]\.{key}"):
+            technology_from_stackup(doc)
+
+    @pytest.mark.parametrize("value", [None, [], 0], ids=["null", "list", "int"])
+    def test_non_string_metal_name_rejected(self, value):
+        doc = golden_stackup()
+        doc["metals"][1]["name"] = value
+        with pytest.raises(ValueError, match=r"metals\[1\]\.name"):
+            technology_from_stackup(doc)
+
+    def test_every_field_mutation_loads_or_raises_value_error(self):
+        """Each field of the golden stackup set to ``"x"``, null or ``[]``."""
+
+        def paths(node, prefix=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, child in items:
+                yield (*prefix, key)
+                if isinstance(child, (dict, list)):
+                    yield from paths(child, (*prefix, key))
+
+        for path in paths(golden_stackup()):
+            for value in ("x", None, []):
+                doc = golden_stackup()
+                node = doc
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                try:
+                    assert isinstance(technology_from_stackup(doc), Technology)
+                except ValueError:
+                    pass
+
     def test_non_finite_grid_unit_rejected(self):
         doc = golden_stackup()
         doc["grid_unit"] = float("inf")
@@ -272,7 +321,7 @@ class TestFootprints:
         grid = _grid()
         grid.set_net_footprint(7, 1, guard=0)  # (1, 0) is not stored
         assert grid.footprint_of(7) == (1, 0)
-        assert grid.max_footprint_reach() == 0
+        assert grid.footprint_reach(7) == 0
 
     def test_wide_claim_covers_span_and_guard(self):
         grid = _grid()
@@ -287,7 +336,9 @@ class TestFootprints:
         grid = _grid()
         grid.set_net_footprint(5, 2, guard=1)
         grid.occupy_h(10, 3, 8, 5)
-        assert grid.free_span_h(9, 5, 6) is None
+        # Net 6 may not run along the guard row anywhere the claim covers.
+        h_ok = grid.usable_window(6, Interval(3, 8), Interval(9, 9))[0]
+        assert not h_ok.any()
         with pytest.raises(ValueError, match="not free"):
             grid.occupy_h(12, 3, 8, 6)
 

@@ -47,9 +47,7 @@ class TestTechnology:
 
     def test_layer_lookup(self):
         tech = Technology.four_layer()
-        assert tech.layer_by_name("metal3").index == 3
-        with pytest.raises(KeyError):
-            tech.layer_by_name("poly")
+        assert tech.layer(3).index == 3
         with pytest.raises(KeyError):
             tech.layer(5)
 
